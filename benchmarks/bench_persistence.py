@@ -7,8 +7,9 @@ The storage layer's performance claim: attaching a saved sharded engine
 cold start reads checksummed bytes at page-cache speed instead of redoing
 construction.  The correctness claim rides along and is asserted in every
 mode: for all five sketch families × 1/2/4 shards, an engine reopened from
-disk answers routed pair queries **bit-identically** to the engine that
-saved it — and to a fresh sharded build of the same graph.
+disk (a manifest, the graph, the partition and one sketches file) answers
+pair queries **bit-identically** to the engine that saved it — and to a
+fresh sharded build of the same graph.
 
 The full run appends a timestamped record to the ``BENCH_persistence.json``
 trajectory (see ``benchmarks/_trajectory.py``).  ``--smoke`` caps the

@@ -6,8 +6,8 @@ The sharded engine's performance claim: splitting sketch construction over a
 CSR shipped through shared memory) beats the single-process build on the wall
 clock, because the per-row hashing work is embarrassingly parallel and the GIL
 never enters the picture.  The correctness claim rides along: the sharded
-build and every routed query are **bit-identical** to the single-process path,
-and the rows the engine ships for cut pairs match the §VIII-F communication
+build and every query are **bit-identical** to the single-process path, and
+the rows the engine meters for cut pairs match the §VIII-F communication
 model exactly.
 
 Default workload: a Kronecker graph with ≥500k edges and a Bloom build at
@@ -99,7 +99,7 @@ def main() -> None:
         f"({shards} shards / {args.workers} workers)  ->  {speedup:.2f}x"
     )
 
-    # --- bit-identity: routed queries == single-process queries --------------
+    # --- bit-identity: sharded-engine queries == single-process queries ------
     rng = np.random.default_rng(9)
     u = rng.integers(0, graph.num_vertices, size=20_000).astype(np.int64)
     v = rng.integers(0, graph.num_vertices, size=20_000).astype(np.int64)
@@ -117,7 +117,7 @@ def main() -> None:
     assert engine.comm.sketch_bytes == model.sketch_bytes
     print(
         f"communication: {engine.comm.shipments:,} shipments, "
-        f"{engine.comm.sketch_bytes / 1e6:.1f} MB sketches moved "
+        f"{engine.comm.sketch_bytes / 1e6:.1f} MB sketches to move "
         f"(model agrees; exact CSR would move {model.csr_bytes / 1e6:.1f} MB, "
         f"{model.reduction_factor:.1f}x more)"
     )

@@ -1,25 +1,23 @@
 #!/usr/bin/env python
-"""Streaming deltas × sharded serving — routed patches vs rebuild-per-batch.
+"""Streaming deltas × sharded serving — incremental patches vs rebuild-per-batch.
 
-Before :meth:`repro.engine.ShardedEngine.apply_delta`, an evolving graph and a
-sharded engine did not compose: every :class:`~repro.dynamic.GraphDelta`
-forced a full multiprocess rebuild of all shard containers (and of any LSH
-index over them).  This benchmark replays a ~1M-edge Kronecker stream
-(20% pre-loaded, the rest applied in fixed-size batches with periodic
-deletions) against a live ``ShardedEngine`` + ``ShardedLSHIndex`` and
-measures, per batch,
+Without :meth:`repro.engine.ShardedEngine.apply_delta`, every
+:class:`~repro.dynamic.GraphDelta` would force a full multiprocess rebuild of
+the engine's sketch set (and of any LSH index over it).  This benchmark
+replays a ~1M-edge Kronecker stream (20% pre-loaded, the rest applied in
+fixed-size batches with periodic deletions) against a live ``ShardedEngine``
+and the ``LSHIndex`` from ``engine.lsh_index()``, and measures, per batch,
 
-* **incremental**: ``engine.apply_delta(delta)`` — split the delta by shard
-  owners, patch only the touched rows in place; the registered LSH index
-  marks them dirty and re-keys only those bucket entries on the next serve
-  (that deferred splice is charged to the incremental side too);
+* **incremental**: ``engine.apply_delta(delta)`` — patch only the touched
+  rows in place and re-key exactly those rows' bucket entries in the
+  registered LSH index, eagerly;
 * **rebuild**: constructing a fresh ``ShardedEngine`` + LSH index on the new
   snapshot (sampled at a few stream positions and extrapolated — both paths
   share one warm process pool, which *favors* the rebuild baseline).
 
-Queries are served between batches (routed pair-Jaccard + LSH top-k) to
-exercise the serve-while-ingesting shape.  The script always asserts the
-patched shards are **bit-identical** to a fresh sharded rebuild on the final
+Queries are served between batches (pair-Jaccard + LSH top-k) to exercise
+the serve-while-ingesting shape.  The script always asserts the
+patched engine is **bit-identical** to a fresh sharded rebuild on the final
 graph, asserts **≥ 5×** incremental-vs-rebuild stream throughput in full
 mode, and appends a timestamped run record to the ``BENCH_sharded_stream.json``
 trajectory (see ``benchmarks/_trajectory.py``).
@@ -70,7 +68,7 @@ def parse_args() -> argparse.Namespace:
 
 
 def _sketch_payload(pg) -> dict[str, np.ndarray]:
-    return {name: getattr(pg.sketches, name) for name in pg.sketches._row_arrays}
+    return {name: getattr(pg.sketches, name) for name in pg.sketches.storage_schema.row_arrays}
 
 
 def main() -> None:
@@ -131,11 +129,10 @@ def main() -> None:
             incremental_seconds += time.perf_counter() - t0
             edges_streamed += ins.shape[0]
             if bi % SERVE_EVERY == 0:
-                # Serve-while-ingesting: routed pair queries + LSH top-k stay
+                # Serve-while-ingesting: pair queries + LSH top-k stay
                 # available between batches (the staleness guard would raise
-                # had the delta not been routed above).  The first probe after
-                # a burst of deltas flushes the index's deferred re-keys, so
-                # serve time is charged to the incremental side.
+                # had the delta not been applied above); serve time is
+                # charged to the incremental side.
                 sample = edges[batch_start: batch_start + 256]
                 t0 = time.perf_counter()
                 engine.pair_jaccard(sample[:, 0], sample[:, 1])
@@ -148,20 +145,17 @@ def main() -> None:
                     fresh.lsh_index()
                     rebuild_times.append(time.perf_counter() - t0)
 
-        # Flush the tail window's deferred LSH re-keys on the clock, so the
-        # incremental side pays for every entry the rebuild side has.
-        t0 = time.perf_counter()
         bucket_entries = index.num_entries
-        incremental_seconds += time.perf_counter() - t0
 
-        # --- correctness: patched shards == fresh sharded rebuild -----------
+        # --- correctness: patched engine == fresh sharded rebuild -----------
         with ShardedEngine(dyn.snapshot(), args.shards, pool=pool, **params) as fresh:
             patched_pg, fresh_pg = engine.to_probgraph(), fresh.to_probgraph()
         for name, arr in _sketch_payload(patched_pg).items():
             assert np.array_equal(arr, _sketch_payload(fresh_pg)[name]), name
         print(
-            f"bit-identity: patched shards == fresh sharded rebuild on the final "
-            f"graph ({dyn.num_edges:,} edges) across {len(patched_pg.sketches._row_arrays)} row arrays"
+            f"bit-identity: patched engine == fresh sharded rebuild on the final "
+            f"graph ({dyn.num_edges:,} edges) across "
+            f"{len(patched_pg.sketches.storage_schema.row_arrays)} row arrays"
         )
         engine.close()
 

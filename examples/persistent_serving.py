@@ -6,7 +6,8 @@ it into a keyed :class:`~repro.storage.SketchStore`; every later session (a
 restarted server, another process) answers the same cache key with a
 zero-copy ``np.memmap`` load instead of an O(b·m) rebuild — bit-identical for
 every query.  The sharded engine does the same at directory granularity
-(``engine.save(dir)`` / ``ShardedEngine.open(dir)``), and a saved LSH index is
+(``engine.save(dir)`` / ``ShardedEngine.open(dir)``: a manifest, the graph,
+the partition and one sketches file), and a saved LSH index is
 probe-ready one ``open()`` away.  Mutation still works: the first delta patch
 promotes the touched mmap rows to writable copies, lazily.
 
@@ -63,7 +64,7 @@ def main() -> None:
         print(
             f"\nsharded engine: fresh 4-shard build {build_s * 1e3:.0f} ms, "
             f"cold start from {engine_dir} in "
-            f"{reopened.construction_seconds * 1e3:.1f} ms, routed queries "
+            f"{reopened.construction_seconds * 1e3:.1f} ms, queries "
             f"bit-identical="
             f"{bool(np.array_equal(sharded_ref, reopened.pair_intersections(u, v)))}"
         )

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Sharded serving end to end: partition, multiprocess build, routed queries.
+"""Sharded serving end to end: partition, multiprocess build, metered queries.
 
 The §VIII-F story on one machine: vertices are partitioned into shards, each
-shard's neighborhood sketches are built in its own worker process, and every
-query is routed to the shard owning its sketch rows — cut pairs ship one
+shard's neighborhood sketches are built in its own worker process, and the
+rows are assembled once into one ProbGraph that every query runs on.  The
+engine meters what a routed execution would move — cut pairs ship one
 fixed-size sketch (counted, and validated against the paper's communication
 model), never a CSR neighborhood.  Results are bit-identical to the
 single-process `PGSession` path throughout.
@@ -13,8 +14,7 @@ Run with:  python examples/sharded_serving.py
 
 import numpy as np
 
-from repro import PGSession, ShardedEngine, triangle_count, triangle_count_sharded
-from repro.algorithms import knn_graph_sharded
+from repro import PGSession, ShardedEngine, knn_graph, triangle_count
 from repro.graph import kronecker_graph
 
 NUM_SHARDS = 4
@@ -36,7 +36,7 @@ def main() -> None:
             f"{engine.partition.cut_fraction(graph):.0%} of edges cut)"
         )
 
-        # --- routed pair queries, bit-identical to the single-process engine ----
+        # --- pair queries, bit-identical to the single-process engine ----------
         session = PGSession()
         pg = session.probgraph(graph, representation="bloom", storage_budget=0.25, seed=7)
         rng = np.random.default_rng(3)
@@ -45,14 +45,14 @@ def main() -> None:
         sharded = engine.pair_intersections(u, v)
         single = session.pair_intersections(pg, u, v)
         print(
-            f"\n50k routed pair queries: bit-identical to single-process = "
+            f"\n50k pair queries: bit-identical to single-process = "
             f"{bool(np.array_equal(sharded, single))}"
         )
 
-        # --- top-k serving: broadcast the source, gather per-shard top-k --------
+        # --- top-k serving over the assembled sketch set ------------------------
         users = np.argsort(graph.degrees)[-6:].astype(np.int64)
         batch = engine.top_k_similar_batch(users, k=5)
-        print(f"\nscatter-gather top-5 for the {len(users)} busiest users:")
+        print(f"\ntop-5 for the {len(users)} busiest users:")
         for row, user in enumerate(users.tolist()):
             hits = ", ".join(
                 f"{c}({s:.2f})"
@@ -66,21 +66,21 @@ def main() -> None:
             f"{bool(np.array_equal(ref.indices, batch.indices))})"
         )
 
-        # --- a sharded algorithm run --------------------------------------------
+        # --- algorithms run on the engine's sketch set -------------------------
         with ShardedEngine(
             graph, NUM_SHARDS, representation="bloom", storage_budget=0.25, seed=7,
             oriented=True,
         ) as tc_engine:
-            tc_sharded = float(triangle_count_sharded(tc_engine))
+            tc_sharded = float(triangle_count(tc_engine.to_probgraph()))
         tc_exact = float(triangle_count(graph))
         print(
             f"\nsharded triangle count (oriented N+): {tc_sharded:,.0f} "
             f"(exact {tc_exact:,.0f}, {tc_sharded / tc_exact:.2f}x)"
         )
-        knn = knn_graph_sharded(engine, k=4, sources=np.arange(32, dtype=np.int64))
+        knn = knn_graph(engine.to_probgraph(), k=4, sources=np.arange(32, dtype=np.int64))
         print(f"4-NN graph over 32 sources: {knn.to_csr(graph.num_vertices).num_edges} edges")
 
-        # --- what moved: the engine's shipments vs the paper's model ------------
+        # --- what a routed run would move: the meter vs the paper's model ------
         edges = graph.edge_array()
         engine.comm.reset()
         engine.pair_intersections(edges[:, 0], edges[:, 1])
@@ -92,7 +92,7 @@ def main() -> None:
         print(
             f"\nper-edge query over all {edges.shape[0]:,} edges: "
             f"{engine.comm.shipments:,} sketch shipments, "
-            f"{engine.comm.sketch_bytes / 1e6:.2f} MB moved "
+            f"{engine.comm.sketch_bytes / 1e6:.2f} MB to move "
             f"(§VIII-F model agrees = {agree}; exact CSR neighborhoods would move "
             f"{model.csr_bytes / 1e6:.2f} MB, {model.reduction_factor:.1f}x more)"
         )

@@ -2,13 +2,13 @@
 """Serve-while-ingesting: stream GraphDeltas into a live sharded engine.
 
 The streaming × sharding composition: a `DynamicGraph` absorbs edge batches
-(insertions *and* deletions), and each resulting `GraphDelta` is routed
-through `ShardedEngine.apply_delta` — the delta is split by shard owners,
-only the touched sketch rows are patched in place, and any `ShardedLSHIndex`
-built over the engine re-keys exactly those rows' bucket entries on its next
-probe.  Queries keep being served between batches; an engine that missed a
-delta raises `StaleShardError` instead of answering from stale shards.  The
-patched shards stay bit-identical to a fresh sharded rebuild throughout.
+(insertions *and* deletions), and each resulting `GraphDelta` is applied
+through `ShardedEngine.apply_delta` — only the touched sketch rows are
+patched in place, their owning shards' skew counters advance, and the
+`LSHIndex` from `engine.lsh_index()` re-keys exactly those rows' bucket
+entries.  Queries keep being served between batches; an engine that missed
+a delta raises `StaleShardError` instead of answering from stale rows.  The
+patched engine stays bit-identical to a fresh sharded rebuild throughout.
 
 Run with:  python examples/streaming_sharded.py
 """
@@ -44,32 +44,32 @@ def main() -> None:
         f"LSH tables hold {index.num_entries:,} bucket entries"
     )
 
-    # --- ingest batches, serving routed queries between them ----------------
+    # --- ingest batches, serving queries between them -----------------------
     probes = np.argsort(graph.degrees)[-4:].astype(np.int64)
     for start in range(warmup, edges.shape[0], BATCH_EDGES):
         ins = edges[start: start + BATCH_EDGES]
         current = dyn.snapshot().edge_array()
         dels = current[rng.choice(current.shape[0], size=10, replace=False)]
         delta = dyn.apply(EdgeBatch(insertions=ins, deletions=dels))
-        patched = engine.apply_delta(delta)  # routes sub-deltas to the shards
-        topk = index.topk_similar_batch(probes, 3)  # first probe re-keys dirty rows
+        patched = engine.apply_delta(delta)  # patches the rows and the index
+        topk = index.topk_similar_batch(probes, 3)
         best = ", ".join(
             f"{v}({s:.2f})" for v, s in zip(topk.indices[0], topk.scores[0]) if v >= 0
         )
         print(
-            f"  +{ins.shape[0]:4d}/-{dels.shape[0]} edges -> {patched:4d} rows patched "
-            f"across shards; top-3 of hub {probes[0]}: {best}"
+            f"  +{ins.shape[0]:4d}/-{dels.shape[0]} edges -> {patched:4d} rows patched; "
+            f"top-3 of hub {probes[0]}: {best}"
         )
 
-    # --- the staleness guard: unrouted mutations never serve ----------------
+    # --- the staleness guard: unapplied mutations never serve ---------------
     missed = dyn.apply_edges(deletions=dyn.snapshot().edge_array()[:5])
     try:
-        engine.pair_jaccard(probes, probes)  # the delta above was never routed
+        engine.pair_jaccard(probes, probes)  # the delta above was never applied
     except StaleShardError as exc:
         print(f"\nout-of-band mutation caught: {exc}")
-    engine.apply_delta(missed)  # late routing recovers — no rebuild needed
+    engine.apply_delta(missed)  # applying it late recovers — no rebuild needed
     engine.pair_jaccard(probes, probes)
-    print("missed delta routed late; serving resumed")
+    print("missed delta applied late; serving resumed")
 
     # --- skew accounting: when to stop patching and re-shard ----------------
     skew = engine.skew_stats()
@@ -82,21 +82,21 @@ def main() -> None:
         engine.repartition()
         print(f"repartitioned: edge imbalance now {engine.skew_stats().edge_imbalance:.2f}")
 
-    # --- the whole point: patched shards == a fresh sharded rebuild ---------
+    # --- the whole point: the patched engine == a fresh sharded rebuild -----
     with ShardedEngine(dyn.snapshot(), NUM_SHARDS, **PARAMS) as fresh:
         patched_pg, fresh_pg = engine.to_probgraph(), fresh.to_probgraph()
     engine.close()
     identical = all(
         np.array_equal(getattr(patched_pg.sketches, name), getattr(fresh_pg.sketches, name))
-        for name in patched_pg.sketches._row_arrays
+        for name in patched_pg.sketches.storage_schema.row_arrays
     )
     single = ProbGraph(dyn.snapshot(), **PARAMS)
     identical &= all(
         np.array_equal(getattr(patched_pg.sketches, name), getattr(single.sketches, name))
-        for name in single.sketches._row_arrays
+        for name in single.sketches.storage_schema.row_arrays
     )
     print(
-        f"\nfinal graph: {dyn.num_edges:,} edges; patched shards bit-identical to "
+        f"\nfinal graph: {dyn.num_edges:,} edges; patched engine bit-identical to "
         f"fresh sharded rebuild AND single-process ProbGraph = {identical}"
     )
 

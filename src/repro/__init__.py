@@ -44,14 +44,12 @@ from .algorithms import (
     four_clique_count,
     jarvis_patrick_clustering,
     knn_graph,
-    knn_graph_sharded,
     local_clustering_coefficients,
     multihop_cardinalities,
     similarity,
     similarity_scores,
     triangle_count,
     triangle_count_exact,
-    triangle_count_sharded,
 )
 from .core import (
     EstimatorKind,
@@ -67,7 +65,6 @@ from .engine import (
     PGSession,
     ShardSkewStats,
     ShardedEngine,
-    ShardedLSHIndex,
     StaleShardError,
     TopKResult,
     build_probgraph_sharded,
@@ -88,7 +85,6 @@ __all__ = [
     "EngineConfig",
     "LSHIndex",
     "ShardedEngine",
-    "ShardedLSHIndex",
     "ShardSkewStats",
     "StaleShardError",
     "build_probgraph_sharded",
@@ -100,7 +96,6 @@ __all__ = [
     "GraphDelta",
     "triangle_count",
     "triangle_count_exact",
-    "triangle_count_sharded",
     "estimate_triangles",
     "four_clique_count",
     "jarvis_patrick_clustering",
@@ -111,7 +106,6 @@ __all__ = [
     "local_clustering_coefficients",
     "multihop_cardinalities",
     "knn_graph",
-    "knn_graph_sharded",
     "TopKResult",
     "topk_pair_scores",
     "topk_per_source",

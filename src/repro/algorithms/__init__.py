@@ -8,7 +8,7 @@ from .cohesion import (
     local_clustering_coefficients,
     network_cohesion,
 )
-from .knn import KNNGraphResult, knn_graph, knn_graph_sharded
+from .knn import KNNGraphResult, knn_graph
 from .link_prediction import (
     LinkPredictionResult,
     candidate_pairs,
@@ -26,14 +26,12 @@ from .triangle_count import (
     local_triangle_counts,
     triangle_count,
     triangle_count_exact,
-    triangle_count_sharded,
 )
 
 __all__ = [
     "TriangleCountResult",
     "triangle_count",
     "triangle_count_exact",
-    "triangle_count_sharded",
     "local_triangle_counts",
     "CliqueCountResult",
     "four_clique_count",
@@ -54,7 +52,6 @@ __all__ = [
     "candidate_pairs",
     "KNNGraphResult",
     "knn_graph",
-    "knn_graph_sharded",
     "network_cohesion",
     "clustering_coefficient",
     "global_transitivity",

@@ -37,9 +37,8 @@ from ..core.budget import DEFAULT_LSH_THRESHOLD
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.lsh import LSHIndex
-    from ..engine.sharded import ShardedEngine
 
-__all__ = ["KNNGraphResult", "knn_graph", "knn_graph_sharded"]
+__all__ = ["KNNGraphResult", "knn_graph"]
 
 #: Default number of sources retrieved per streamed batch.
 DEFAULT_SOURCE_BATCH = 1024
@@ -196,64 +195,6 @@ def knn_graph(
         scores = np.concatenate(score_blocks, axis=0)
     else:
         width = min(k, (candidates.shape[0] if candidates is not None else graph.num_vertices))
-        neighbors = np.empty((0, width), dtype=np.int64)
-        scores = np.empty((0, width), dtype=np.float64)
-    return KNNGraphResult(neighbors, scores, sources, int(neighbors.shape[1]), measure.value)
-
-
-def knn_graph_sharded(
-    engine: "ShardedEngine",
-    k: int,
-    measure: SimilarityMeasure | str = SimilarityMeasure.JACCARD,
-    sources: np.ndarray | None = None,
-    candidates: np.ndarray | None = None,
-    estimator: EstimatorKind | str | None = None,
-    source_batch: int = DEFAULT_SOURCE_BATCH,
-) -> KNNGraphResult:
-    """Build per-vertex top-k similarity lists on a sharded engine.
-
-    The scatter-gather counterpart of :func:`knn_graph`: every source batch is
-    retrieved through
-    :meth:`~repro.engine.sharded.ShardedEngine.top_k_similar_batch` — each
-    shard scores the sources against its own candidates, the per-shard
-    selections merge canonically — and the resulting lists are bit-identical
-    to :func:`knn_graph` on the equivalent single-process ProbGraph.  Only the
-    engine-level measures are available (``"jaccard"`` and
-    ``"common_neighbors"``); neighbor-identity measures need the exact CSR
-    path.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if source_batch < 1:
-        raise ValueError("source_batch must be at least 1")
-    measure = SimilarityMeasure(measure)
-    if measure is SimilarityMeasure.JACCARD:
-        engine_measure = "jaccard"
-    elif measure is SimilarityMeasure.COMMON_NEIGHBORS:
-        engine_measure = "common_neighbors"
-    else:
-        raise ValueError(
-            f"measure {measure.value!r} is not servable on a sharded engine; "
-            "use 'jaccard' or 'common_neighbors'"
-        )
-    if sources is None:
-        sources = np.arange(engine.num_vertices, dtype=np.int64)
-    else:
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-    neighbor_blocks = []
-    score_blocks = []
-    for start in range(0, sources.shape[0], source_batch):
-        batch = sources[start:start + source_batch]
-        result = engine.top_k_similar_batch(
-            batch, k, measure=engine_measure, candidates=candidates, estimator=estimator
-        )
-        neighbor_blocks.append(result.indices)
-        score_blocks.append(result.scores)
-    if neighbor_blocks:
-        neighbors = np.concatenate(neighbor_blocks, axis=0)
-        scores = np.concatenate(score_blocks, axis=0)
-    else:
-        width = min(k, (candidates.shape[0] if candidates is not None else engine.num_vertices))
         neighbors = np.empty((0, width), dtype=np.int64)
         scores = np.empty((0, width), dtype=np.float64)
     return KNNGraphResult(neighbors, scores, sources, int(neighbors.shape[1]), measure.value)

@@ -15,7 +15,6 @@ the full neighborhoods with the ``/3`` correction of §VII.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,14 +23,10 @@ from ..core.probgraph import ProbGraph
 from ..engine.batch import EngineConfig, scatter_add_pair_intersections, sum_pair_intersections
 from ..graph.csr import CSRGraph
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.sharded import ShardedEngine
-
 __all__ = [
     "TriangleCountResult",
     "triangle_count",
     "triangle_count_exact",
-    "triangle_count_sharded",
     "local_triangle_counts",
 ]
 
@@ -84,36 +79,6 @@ def _triangle_count_pg(
         return TriangleCountResult(0.0, False, f"pg-{pg.representation.value}")
     total = sum_pair_intersections(pg, edges[:, 0], edges[:, 1], estimator=estimator, config=config)
     return TriangleCountResult(total / 3.0, False, f"pg-{pg.representation.value}")
-
-
-def triangle_count_sharded(
-    engine: "ShardedEngine",
-    estimator: EstimatorKind | str | None = None,
-) -> TriangleCountResult:
-    """Approximate TC served by a :class:`~repro.engine.sharded.ShardedEngine`.
-
-    The same per-edge estimate sum as the single-process PG path
-    (:func:`triangle_count` on a ProbGraph with identical parameters), but
-    every edge's intersection is evaluated at the shard owning its sketch rows
-    — cut edges ship one fixed-size sketch each, exactly the communication
-    pattern §VIII-F prices out.  The summed per-edge estimates are the same
-    floats as the single-process path; only the reduction order differs.
-    """
-    if engine.oriented:
-        oriented = engine.graph.oriented()
-        src = np.repeat(np.arange(oriented.num_vertices, dtype=np.int64), oriented.degrees)
-        dst = oriented.indices
-        method = f"pg-{engine.representation.value}-oriented-sharded"
-        if src.size == 0:
-            return TriangleCountResult(0.0, False, method)
-        total = engine.sum_pair_intersections(src, dst, estimator=estimator)
-        return TriangleCountResult(total, False, method)
-    edges = engine.graph.edge_array()
-    method = f"pg-{engine.representation.value}-sharded"
-    if edges.shape[0] == 0:
-        return TriangleCountResult(0.0, False, method)
-    total = engine.sum_pair_intersections(edges[:, 0], edges[:, 1], estimator=estimator)
-    return TriangleCountResult(total / 3.0, False, method)
 
 
 def triangle_count(

@@ -9,12 +9,12 @@ that at least one past regression has violated:
   ``graph/datasets.py`` stand-in generator bug); global-RNG calls and
   wall-clock values are the same failure mode waiting to happen.
 * **family-contract** (``REPRO201``–``REPRO204``): any container declaring a
-  ``storage_schema`` (or the legacy ``_row_arrays`` tuple) opts into the row
-  scatter-gather machinery of the sharded engine and the on-disk sketch
-  store; it must also declare the family params and implement the incremental
-  maintenance methods with the reference signatures of
-  :class:`repro.sketches.base.NeighborhoodSketches`, or shard routing and
-  delta patching break at runtime on that family only.
+  ``storage_schema`` opts into the row gather/scatter primitives
+  (``take_rows``, ``concat_sketch_rows``, the sharded build's assembly) and
+  the on-disk sketch store; it must also declare the family params and
+  implement the incremental maintenance methods with the reference
+  signatures of :class:`repro.sketches.base.NeighborhoodSketches`, or row
+  assembly and delta patching break at runtime on that family only.
 * **dtype** (``REPRO301``, ``REPRO305``): ``np.zeros``/``np.empty``/``np.full``
   in kernel modules must pin an explicit dtype — bit-identity across rebuild /
   incremental / sharded paths depends on every backing array having the same
@@ -243,25 +243,6 @@ _CONTRACT_OPTIONAL = {
 }
 
 
-def _class_attr_tuple(cls: ast.ClassDef, name: str) -> tuple[str, ...] | None:
-    """The string-tuple value of a class-level ``name = ("a", "b")`` assignment."""
-    for stmt in cls.body:
-        target: ast.expr | None = None
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            target, value = stmt.target, stmt.value
-        if not (isinstance(target, ast.Name) and target.id == name) or value is None:
-            continue
-        if isinstance(value, ast.Tuple) and all(
-            isinstance(e, ast.Constant) and isinstance(e.value, str) for e in value.elts
-        ):
-            return tuple(e.value for e in value.elts)  # type: ignore[misc]
-        return ()
-    return None
-
-
 def _schema_declaration(cls: ast.ClassDef) -> tuple[tuple[str, ...], tuple[str, ...] | None] | None:
     """Parse a class-level ``storage_schema = StorageSchema(...)`` declaration.
 
@@ -269,7 +250,7 @@ def _schema_declaration(cls: ast.ClassDef) -> tuple[tuple[str, ...], tuple[str, 
     when the declaration carries no statically-readable ``params=(...)``
     tuple.  Returns ``None`` when the class declares no schema (or assigns
     something that is not a literal ``StorageSchema(...)`` call — a computed
-    schema opts out of static checking, like a computed ``_row_arrays`` did).
+    schema opts out of static checking).
     """
     for stmt in cls.body:
         target: ast.expr | None = None
@@ -330,38 +311,28 @@ def _self_assigned_attrs(cls: ast.ClassDef) -> set[str]:
 def check_family_contract(ctx: ModuleContext) -> list[Finding]:
     """Classes declaring row arrays must satisfy the full container contract.
 
-    Two declaration forms opt a class in: the explicit storage schema
-    (``storage_schema = StorageSchema(arrays=..., params=...)``) and the
-    legacy literal tuples (``_row_arrays`` / ``_param_attrs``) that predate
-    it.  Either way, the declared arrays feed take_rows/concat/shard routing
-    and persistence, so the maintenance methods and compatibility params are
-    mandatory.
+    A literal ``storage_schema = StorageSchema(arrays=..., params=...)``
+    opts a class in: the declared arrays feed take_rows/concat, the sharded
+    build's assembly and persistence, so the maintenance methods and
+    compatibility params are mandatory.
     """
     findings: list[Finding] = []
     for cls in ast.walk(ctx.tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         schema = _schema_declaration(cls)
-        if schema is not None:
-            row_arrays, schema_params = schema
-            has_params = bool(schema_params)
-            declaration = "storage_schema"
-        else:
-            legacy = _class_attr_tuple(cls, "_row_arrays")
-            if legacy is None:
-                continue
-            row_arrays = legacy
-            has_params = _class_attr_tuple(cls, "_param_attrs") is not None
-            declaration = "_row_arrays"
+        if schema is None:
+            continue
+        row_arrays, schema_params = schema
         if not row_arrays:  # explicitly empty: not a row container
             continue
-        if not has_params:
+        if not schema_params:
             findings.append(
                 Finding(
                     ctx.path, cls.lineno, cls.col_offset, "REPRO201",
-                    f"{cls.name} declares {declaration} row arrays but no family "
-                    "params; rows cannot be routed between shards without a family "
-                    "compatibility key",
+                    f"{cls.name} declares storage_schema row arrays but no family "
+                    "params; rows cannot be combined across containers without a "
+                    "family compatibility key",
                 )
             )
         methods = {
@@ -372,9 +343,8 @@ def check_family_contract(ctx: ModuleContext) -> list[Finding]:
                 findings.append(
                     Finding(
                         ctx.path, cls.lineno, cls.col_offset, "REPRO202",
-                        f"{cls.name} declares {declaration} but does not implement {name}"
-                        f"({', '.join(ref_params)}); incremental maintenance and shard "
-                        "routing require it",
+                        f"{cls.name} declares storage_schema but does not implement {name}"
+                        f"({', '.join(ref_params)}); incremental maintenance requires it",
                     )
                 )
         for name, ref_params in {**_CONTRACT_REQUIRED, **_CONTRACT_OPTIONAL}.items():
@@ -399,7 +369,7 @@ def check_family_contract(ctx: ModuleContext) -> list[Finding]:
                 findings.append(
                     Finding(
                         ctx.path, cls.lineno, cls.col_offset, "REPRO204",
-                        f"{cls.name} {declaration} names {arr!r} but no method assigns "
+                        f"{cls.name} storage_schema names {arr!r} but no method assigns "
                         f"self.{arr}; take_rows/concat would scatter a missing array",
                     )
                 )

@@ -16,7 +16,7 @@ Three detectors, all near-zero-cost when the sanitizer is off:
 * **Lock/race** (``SAN401``/``SAN402``) — instrumented RLocks in
   ``PGSession``, ``ShardedEngine``, and ``LSHIndex`` feed a per-thread
   lock-acquisition graph that flags lock-order inversions, and registered
-  guarded state (session caches, LSH bucket tables, shard row arrays) is
+  guarded state (session caches, LSH bucket tables, sharded sketch rows) is
   write-epoch stamped so a mutation without the owning lock is attributed to
   its call site.
 * **SharedMemory lifecycle** (``SAN601``/``SAN602``) — every segment the

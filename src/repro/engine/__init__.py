@@ -14,14 +14,14 @@ This package is the execution layer between the sketch containers
 * :func:`topk_pair_scores` / :func:`topk_per_source` keep an ``O(k)`` running
   selection over streamed pair scores (top-k retrieval — the serving and
   link-prediction query shape — without materializing the score array);
-* :class:`ShardedEngine` builds per-shard sketch sets in a process pool and
-  serves queries by routing each pair to the shard owning its sketch rows
-  (scatter-gather, bit-identical to the single-process path — §VIII-F for
-  real on one machine);
-* :class:`LSHIndex` / :class:`ShardedLSHIndex` band the MinHash signature
-  matrices into bucket tables and serve top-k/kNN by scoring only colliding
-  candidates — sublinear probes with an S-curve recall contract, falling
-  back to the full scan for Bloom/HLL or ``exact=True``;
+* :class:`ShardedEngine` builds per-shard sketch rows in a process pool,
+  assembles them once into one :class:`~repro.core.ProbGraph`, serves every
+  query through the same kernels as :class:`PGSession`, and meters the
+  sketch shipments a routed execution would make (§VIII-F);
+* :class:`LSHIndex` bands the MinHash signature matrices into bucket tables
+  and serves top-k/kNN by scoring only colliding candidates — sublinear
+  probes with an S-curve recall contract, falling back to the full scan for
+  Bloom/HLL or ``exact=True``;
 * :func:`engine_stats` exposes process-wide activity counters so the engine
   path is observable.
 
@@ -55,7 +55,6 @@ from .sharded import (
     ShardCommStats,
     ShardSkewStats,
     ShardedEngine,
-    ShardedLSHIndex,
     StaleShardError,
     build_probgraph_sharded,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "ShardCommStats",
     "ShardSkewStats",
     "ShardedEngine",
-    "ShardedLSHIndex",
     "StaleShardError",
     "build_probgraph_sharded",
     "select_topk_rows",

@@ -40,6 +40,7 @@ from ..sketches.base import SketchContainer
 __all__ = [
     "DEFAULT_MEMORY_BUDGET_BYTES",
     "EngineConfig",
+    "as_vertex_ids",
     "EngineStats",
     "engine_stats",
     "reset_engine_stats",
@@ -177,9 +178,33 @@ def resolve_chunk_pairs(sketches: SketchContainer, config: EngineConfig | None =
     return max(config.memory_budget_bytes // per_pair, _MIN_AUTO_CHUNK_PAIRS)
 
 
-def _as_pair_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=np.int64).ravel()
-    v = np.asarray(v, dtype=np.int64).ravel()
+def as_vertex_ids(ids: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Flatten ``ids`` to int64 vertex IDs, rejecting anything but ``[0, n)`` integers.
+
+    Sketch rows are gathered by NumPy indexing, so an unchecked ``-1`` would
+    silently wrap to vertex ``n - 1`` and a float ``0.7`` would truncate to
+    vertex 0.  Non-integer dtypes raise ``ValueError`` (empty inputs of any
+    dtype are accepted) and out-of-range IDs raise ``IndexError``.
+    """
+    arr = np.asarray(ids)
+    if arr.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"vertex IDs must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False).ravel()
+    if arr.min() < 0 or arr.max() >= num_vertices:
+        raise IndexError(
+            f"vertex IDs must lie in [0, {num_vertices}), got "
+            f"[{int(arr.min())}, {int(arr.max())}]"
+        )
+    return arr
+
+
+def _as_pair_arrays(
+    u: np.ndarray, v: np.ndarray, num_vertices: int
+) -> tuple[np.ndarray, np.ndarray]:
+    u = as_vertex_ids(u, num_vertices)
+    v = as_vertex_ids(v, num_vertices)
     if u.shape != v.shape:
         raise ValueError("u and v must have the same shape")
     return u, v
@@ -217,7 +242,7 @@ def batched_pair_intersections(
     ``chunk * sketches.pair_scratch_bytes`` (plus the output array).
     """
     config = config or EngineConfig()
-    u, v = _as_pair_arrays(u, v)
+    u, v = _as_pair_arrays(u, v, pg.num_vertices)
     total = u.shape[0]
     _STATS.queries += 1
     _STATS.pairs += total
@@ -246,7 +271,7 @@ def batched_pair_jaccard(
     the sketched base — oriented ``N+`` when the ProbGraph is oriented).
     """
     config = config or EngineConfig()
-    u, v = _as_pair_arrays(u, v)
+    u, v = _as_pair_arrays(u, v, pg.num_vertices)
     total = u.shape[0]
     if total == 0:
         _STATS.queries += 1
@@ -271,7 +296,7 @@ def sum_pair_intersections(
     work.  This is the kernel of the edge-sum triangle-count estimators (§VII).
     """
     config = config or EngineConfig()
-    u, v = _as_pair_arrays(u, v)
+    u, v = _as_pair_arrays(u, v, pg.num_vertices)
     total = u.shape[0]
     _STATS.queries += 1
     _STATS.pairs += total
@@ -311,7 +336,7 @@ def scatter_add_pair_intersections(
     estimator work.
     """
     config = config or EngineConfig()
-    u, v = _as_pair_arrays(u, v)
+    u, v = _as_pair_arrays(u, v, pg.num_vertices)
     index = np.asarray(index, dtype=np.int64).ravel()
     if index.shape != u.shape:
         raise ValueError("index must have the same shape as u and v")

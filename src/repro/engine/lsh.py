@@ -43,7 +43,7 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from ..sketches.hashing import splitmix64
 from ..sketches.kmv import KMVNeighborhoodSketches
 from ..sketches.minhash import BottomKNeighborhoodSketches, KHashNeighborhoodSketches
 from ..storage import StoreFormatError, StoreHandle, open_blocks, write_blocks
-from .batch import EngineConfig, record_query, record_topk, resolve_chunk_pairs
+from .batch import EngineConfig, as_vertex_ids, record_query, record_topk, resolve_chunk_pairs
 from .topk import TopKResult, _resolve_score_fn, materialized_topk, topk_per_source
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,8 +136,7 @@ def select_topk_rows(
     descending, candidate ID ascending on ties — padded with ``-1`` (score
     ``0.0``) to width ``k``, so a result row equals the full-scan
     :func:`~repro.engine.topk.topk_per_source` row whenever the candidate list
-    covers that row's winners.  Shared by the single-process and sharded LSH
-    paths so both select bit-identically.
+    covers that row's winners.
     """
     if not np.all(np.isfinite(flat_scores)):
         raise ValueError(
@@ -170,7 +169,7 @@ class LSHIndex:
     source:
         A :class:`~repro.core.ProbGraph` (the serving shape: probing *and*
         scoring) or a bare :class:`~repro.sketches.base.NeighborhoodSketches`
-        container (probe-only — the sharded engine builds one per shard).
+        container (probe-only: candidates, no scoring).
     num_bands, rows_per_band:
         Explicit band/row split (``num_bands · rows_per_band ≤ k``).  When
         omitted, :func:`repro.core.budget.resolve_lsh_params` picks the split
@@ -179,13 +178,19 @@ class LSHIndex:
         Target similarity for the parameter resolution (ignored when both
         ``num_bands`` and ``rows_per_band`` are given).
     vertex_ids:
-        Global vertex ID of each container row (defaults to ``arange``); the
-        sharded engine passes each shard's owned-vertex list so per-shard
-        tables hold globally-addressed entries.
+        Global vertex ID of each container row (defaults to ``arange``), so
+        the tables of a container holding a subset of the rows hold
+        globally-addressed entries.
 
     For Bloom/HLL containers no tables are built (:attr:`banded` is False) and
     every query transparently takes the full-scan path.
     """
+
+    #: Optional zero-argument callable run before every probe or scan.  An
+    #: index handed out by :meth:`ShardedEngine.lsh_index
+    #: <repro.engine.sharded.ShardedEngine.lsh_index>` runs the engine's
+    #: staleness check and query meter here.
+    before_query: Callable[[], None] | None = None
 
     def __init__(
         self,
@@ -258,6 +263,13 @@ class LSHIndex:
         return int(self._keys.shape[0])
 
     @property
+    def _num_ids(self) -> int:
+        """Size of the vertex-ID space candidates are drawn from."""
+        if self.pg is not None:
+            return self.pg.num_vertices
+        return int(self.vertex_ids.max(initial=-1)) + 1
+
+    @property
     def num_buckets(self) -> int:
         """Number of distinct bucket keys across all bands."""
         if self._keys.shape[0] == 0:
@@ -276,8 +288,7 @@ class LSHIndex:
         keeps all-empty vertices from colliding with each other.
 
         Keys depend only on the family parameters and the band split, so keys
-        computed on one container probe any compatible container's tables —
-        the routed-probe contract of the sharded engine.
+        computed on one container probe any compatible container's tables.
         """
         sig = signature_matrix(self.sketches)
         assert sig is not None and self.resolution is not None
@@ -312,43 +323,50 @@ class LSHIndex:
         self._verts = verts[order]
 
     @staticmethod
-    def _pack_entries(keys: np.ndarray, verts: np.ndarray) -> np.ndarray:
-        """memcmp-ordered 16-byte packs of ``(key, vert)`` entries.
-
-        Big-endian key bytes followed by big-endian vertex bytes, so byte-wise
-        void comparison equals the canonical ``lexsort((verts, keys))`` order
-        (keys are uint64, vertex IDs are non-negative).  Lets a sorted splice
-        use :func:`np.searchsorted` on compound entries.
-        """
-        packed = np.empty(keys.shape[0], dtype="V16")
-        view = packed.view(np.uint8).reshape(-1, 16)
-        view[:, :8] = keys.astype(">u8", copy=False).view(np.uint8).reshape(-1, 8)
-        view[:, 8:] = (
-            verts.astype(np.uint64).astype(">u8").view(np.uint8).reshape(-1, 8)
-        )
-        return packed
+    def _run_index(keys: np.ndarray) -> np.ndarray:
+        """Index of each entry's run of equal keys in a key-sorted array."""
+        run = np.zeros(keys.shape[0], dtype=np.int64)
+        np.cumsum(keys[1:] != keys[:-1], out=run[1:])
+        return run
 
     def _splice_sorted(
         self, keep: np.ndarray, new_keys: np.ndarray, new_verts: np.ndarray
     ) -> None:
-        """Merge new entries into the kept (already canonical) entries in O(n).
+        """Merge new entries into the kept (already canonical) entries.
 
         A patch re-keys a few thousand rows of a table holding millions of
         entries; re-lexsorting everything made :meth:`rekey_rows` cost as much
-        as a rebuild.  The kept entries stay sorted after masking, so sorting
-        only the new entries and computing their splice positions with one
-        compound-key ``searchsorted`` reproduces ``_store_sorted``'s canonical
-        order bit-for-bit at linear cost.
+        as a rebuild.  The kept entries stay sorted after masking, so only the
+        new entries are sorted, and their splice positions come from a
+        ``searchsorted`` on the keys — refined, for keys already in the table,
+        by a ``searchsorted`` on the vertex IDs inside that key's run.  The
+        result is ``_store_sorted``'s canonical order bit for bit.
+
+        Both refinements use ``run index * span + vertex``, which ascends over
+        a key-sorted array whose runs ascend by vertex, and fits int64 for any
+        table below 2**32 entries over fewer than 2**31 vertices.
         """
         _san.stamp_write(self._table_lock, "LSHIndex.tables")
-        order = np.lexsort((new_verts, new_keys))
+        kept = np.flatnonzero(keep)  # a position gather beats a mask gather
+        old_keys, old_verts = self._keys[kept], self._verts[kept]
+        if new_keys.shape[0] == 0:
+            self._keys, self._verts = old_keys, old_verts
+            return
+        span = int(max(old_verts.max(initial=0), new_verts.max())) + 1
+        # Canonical order of the new entries: two quicksorts (by key, then by
+        # vertex inside each key's run) cost less than one lexsort.
+        order = np.argsort(new_keys)
         new_keys, new_verts = new_keys[order], new_verts[order]
-        old_keys, old_verts = self._keys[keep], self._verts[keep]
-        pos = np.searchsorted(
-            self._pack_entries(old_keys, old_verts),
-            self._pack_entries(new_keys, new_verts),
-            side="left",
-        )
+        order = np.argsort(self._run_index(new_keys) * span + new_verts)
+        new_keys, new_verts = new_keys[order], new_verts[order]
+        pos = np.searchsorted(old_keys, new_keys, side="left")
+        tied = np.flatnonzero(pos < old_keys.shape[0])
+        tied = tied[old_keys[pos[tied]] == new_keys[tied]]  # key already in the table
+        if tied.size:
+            run = self._run_index(old_keys)
+            pos[tied] = np.searchsorted(
+                run * span + old_verts, run[pos[tied]] * span + new_verts[tied], side="left"
+            )
         total = old_keys.shape[0] + new_keys.shape[0]
         at_new = pos + np.arange(new_keys.shape[0], dtype=np.int64)
         at_old = np.ones(total, dtype=bool)
@@ -547,9 +565,8 @@ class LSHIndex:
         ``rows`` are container row positions whose sketch values already hold
         their *new* state; any rows appended since the last build/re-key are
         included automatically.  :attr:`vertex_ids` must already cover every
-        container row — callers that grow the container update it first (the
-        sharded engine swaps in the extended owned-vertex list;
-        :meth:`apply_delta` extends the identity mapping itself).  Re-keying
+        container row — callers that grow the container update it first
+        (:meth:`apply_delta` extends the identity mapping itself).  Re-keying
         is idempotent and entry order is canonical, so the tables end up
         bit-identical to a fresh build over the current container.  Returns
         the number of re-keyed rows.
@@ -612,9 +629,11 @@ class LSHIndex:
         pool for every source — the same set the exact path scores.  An
         explicit ``candidates`` pool restricts the result to that pool.
         """
-        sources = np.asarray(sources, dtype=np.int64).ravel()
+        if self.before_query is not None:
+            self.before_query()
+        sources = as_vertex_ids(sources, self.sketches.num_sets)
         if candidates is not None:
-            candidates = np.unique(np.asarray(candidates, dtype=np.int64).ravel())
+            candidates = np.unique(as_vertex_ids(candidates, self._num_ids))
         if not self.banded:
             pool = (
                 candidates
@@ -676,19 +695,19 @@ class LSHIndex:
             )
         if k < 0:
             raise ValueError("k must be non-negative")
-        sources = np.asarray(sources, dtype=np.int64).ravel()
+        sources = as_vertex_ids(sources, self.pg.num_vertices)
+        if candidates is not None:
+            candidates = np.unique(as_vertex_ids(candidates, self.pg.num_vertices))
         if exact or not self.banded:
+            if self.before_query is not None:
+                self.before_query()
             self.stats.queries += 1
             self.stats.full_scan_fallbacks += 1
             return topk_per_source(
                 self.pg, sources, k, candidates=candidates, score=measure,
                 estimator=estimator, exclude_self=exclude_self, config=config,
             )
-        pool_size = (
-            np.unique(np.asarray(candidates, dtype=np.int64)).shape[0]
-            if candidates is not None
-            else self.pg.num_vertices
-        )
+        pool_size = candidates.shape[0] if candidates is not None else self.pg.num_vertices
         k = min(int(k), pool_size)
         record_topk()
         self.stats.queries += 1

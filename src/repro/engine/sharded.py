@@ -1,49 +1,38 @@
-"""Sharded multiprocess query engine — real multi-core execution (§VIII-F).
+"""Sharded engine: multiprocess sketch construction plus the §VIII-F meter.
 
 :mod:`repro.parallel.distributed` *models* the paper's distributed claim
 (shipping fixed-size sketches instead of CSR neighborhoods cuts communication
-~4×) and :mod:`repro.parallel.executor`'s thread pool is capped by the GIL for
-anything that is not one huge NumPy call.  This module executes the same idea
-for real on one machine: vertices are partitioned into shards
-(:mod:`repro.graph.partition`), each shard's neighborhood sketches are built in
-a separate **process** of a :class:`concurrent.futures.ProcessPoolExecutor`,
-and queries are served by routing every pair to the shard owning its sketch
-rows and scatter-gathering the results.
-
-Three contracts make this safe to use everywhere the single-process engine is:
+~4×).  This module runs the part of it that pays on one machine: vertices are
+partitioned into shards (:mod:`repro.graph.partition`), each shard's sketch
+rows are built in a separate **process** of a
+:class:`concurrent.futures.ProcessPoolExecutor`, and the parent places the
+worker blocks once into one global-row-order :class:`~repro.core.ProbGraph`.
+Every query after the build runs the single-process kernels that
+:class:`~repro.engine.PGSession` runs.
 
 * **Bit-identity.**  A sketch row is a pure function of the neighborhood
-  elements and the family seed — it does not depend on the row's position or
-  on any other row.  Every shard therefore builds with the *session* seed
-  (no per-shard salt is needed for reproducibility: the row hashes already
-  are deterministic), over horizontal row blocks of the full adjacency (never
-  induced subgraphs), so the union of shard containers is bit-identical to a
-  whole-graph build and every routed query returns exactly the floats the
-  single-process :class:`~repro.engine.PGSession` path returns.
-* **Shipment accounting.**  For a cut pair the lower-degree endpoint's row is
-  shipped to the other endpoint's shard, deduplicated per
-  ``(vertex, destination shard)`` within a query — exactly the point-to-point
-  model of :func:`repro.parallel.distributed.communication_volume`, whose
-  shipment counts and sketch bytes the engine's :class:`ShardCommStats` are
-  validated against in the test suite.
-* **Worker transport.**  Workers receive the CSR arrays either through
-  pickled row-block views (``transport="pickle"``) or zero-copy through
-  :mod:`multiprocessing.shared_memory` (``transport="shm"``, the default when
-  available): the parent publishes the full ``(indptr, indices)`` arrays once
-  and each worker slices out its own rows.
-* **Delta routing.**  A :class:`~repro.dynamic.graph.GraphDelta` is split by
-  ``partition.owners`` into per-shard sub-deltas (a cut edge touches both
-  endpoints' shards) and each shard's container is patched **in place** with
-  the same family ``apply_delta``/``grow`` machinery the single-process path
-  uses — bit-identical to a fresh sharded rebuild, at the cost of only the
-  touched rows (:meth:`ShardedEngine.apply_delta`).  Engines built over a
-  :class:`~repro.dynamic.graph.DynamicGraph` additionally guard every query
-  entry point: if the source graph moved without a routed delta, the engine
-  raises :class:`StaleShardError` instead of silently serving stale rows.
+  elements and the family seed, never of its position.  Shards build with the
+  session seed over horizontal row blocks of the full adjacency (never
+  induced subgraphs), so the assembled container equals a whole-graph build.
+* **Shipment meter.**  Queries are counted as if routed: a cut pair ships its
+  lower-degree endpoint's row to the other endpoint's shard, once per
+  ``(vertex, destination shard)`` and query — the point-to-point model of
+  :func:`repro.parallel.distributed.communication_volume`, which the test
+  suite holds :class:`ShardCommStats` equal to.  No row is copied.
+* **Worker transport.**  Workers receive pickled row blocks
+  (``transport="pickle"``) or attach the full CSR zero-copy through
+  :mod:`multiprocessing.shared_memory` (``"shm"``, the default when
+  available) and slice their own rows.
+* **Deltas and staleness.**  :meth:`ShardedEngine.apply_delta` is
+  :meth:`repro.core.ProbGraph.apply_delta` plus partition growth and per-shard
+  skew counters.  An engine built over a
+  :class:`~repro.dynamic.graph.DynamicGraph` raises :class:`StaleShardError`
+  from every query entry point once the source moved without the delta.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import time
@@ -58,21 +47,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 import numpy as np
 
 from ..analysis import runtime as _san
-from ..core.estimators import EstimatorKind, intersection_to_jaccard
+from ..core.budget import DEFAULT_LSH_THRESHOLD
+from ..core.estimators import EstimatorKind
 from ..core.probgraph import (
     ProbGraph,
     Representation,
     SketchParams,
-    check_estimator_kind,
     resolve_sketch_params,
 )
 from ..dynamic.graph import DynamicGraph, GraphDelta
-from ..graph.csr import CSRGraph, ragged_gather
+from ..graph.csr import CSRGraph
 from ..graph.partition import ShardPartition, partition_graph, slice_row_block
 from ..parallel.distributed import CommunicationVolume, communication_volume
-from ..parallel.executor import chunked_ranges
-from ..sketches.base import NeighborhoodSketches, concat_sketch_rows
-from ..sketches.bloom import BloomNeighborhoodSketches
+from ..sketches.base import NeighborhoodSketches
 from ..storage import (
     StoreFormatError,
     StoreHandle,
@@ -85,42 +72,35 @@ from ..storage import (
     sketch_params_from_meta,
     sketch_params_meta,
 )
-from .batch import record_query, record_topk, resolve_chunk_pairs
-from .lsh import (
-    LSHIndex,
-    LSHIndexStats,
-    _resolve_band_split,
-    select_topk_rows,
-    signature_matrix,
-)
-from .topk import TopKResult
-from ..core.budget import DEFAULT_LSH_THRESHOLD, LSHResolution
+from .batch import _as_pair_arrays, batched_pair_intersections, batched_pair_jaccard
+from .lsh import LSHIndex
+from .topk import TopKResult, topk_per_source
 
 __all__ = [
     "ShardCommStats",
     "ShardSkewStats",
     "ShardedEngine",
-    "ShardedLSHIndex",
     "StaleShardError",
     "build_probgraph_sharded",
 ]
 
 
 class StaleShardError(RuntimeError):
-    """The engine's source graph changed without a delta being routed to the shards.
+    """The engine's source graph changed without the delta being applied to the engine.
 
-    Raised by every :class:`ShardedEngine` query entry point when the
+    Raised by every :class:`ShardedEngine` query entry point (and by every
+    probe of an index from :meth:`ShardedEngine.lsh_index`) when the
     :class:`~repro.dynamic.graph.DynamicGraph` the engine was built over has
-    applied batches the shards never saw.  Serving would silently return
-    results for the *old* graph; instead, route each
-    :class:`~repro.dynamic.graph.GraphDelta` through
+    applied batches the engine never saw.  Serving would silently return
+    results for the *old* graph; instead, pass each
+    :class:`~repro.dynamic.graph.GraphDelta` to
     :meth:`ShardedEngine.apply_delta` (or rebuild the engine).
     """
 
 
 @dataclass
 class ShardCommStats:
-    """Bytes and rows the sharded engine actually moved between shards.
+    """Bytes and rows a routed execution of the engine's queries would move.
 
     ``shipments`` counts unique ``(vertex, destination shard)`` row transfers —
     the same dedup unit as
@@ -150,7 +130,7 @@ class ShardSkewStats:
 
     ``vertices[s]`` / ``edges[s]`` describe the static placement (owned rows
     and their directed adjacency slots — ``edges.sum() == 2m``); ``updates[s]``
-    counts the sketch rows :meth:`ShardedEngine.apply_delta` patched on shard
+    counts the sketch rows :meth:`ShardedEngine.apply_delta` touched on shard
     ``s`` since the build (or the last repartition), i.e. where the *stream*
     is landing.  Imbalance ratios are ``max / mean`` — 1.0 is perfectly
     balanced, and :meth:`needs_repartition` is the documented trigger for
@@ -196,10 +176,11 @@ class ShardSkewStats:
     def needs_repartition(self, threshold: float = 1.5) -> bool:
         """Whether placement skew crossed ``threshold`` (the repartition trigger).
 
-        The sharded engine's wall clock is gated by its most loaded shard, so
-        once one shard holds ``threshold×`` the mean vertex or adjacency load,
-        redistributing ownership (:meth:`ShardedEngine.repartition` — a pure
-        row shuffle, no sketch is rebuilt) wins back the difference.  Update
+        A parallel build is gated by its most loaded shard, and the metered
+        shipments follow the placement, so once one shard holds
+        ``threshold×`` the mean vertex or adjacency load, redistributing
+        ownership (:meth:`ShardedEngine.repartition` — no sketch row moves or
+        is rebuilt) wins back the difference.  Update
         skew is reported but not part of the trigger: a hot vertex keeps its
         shard hot under any balanced placement.
         """
@@ -260,13 +241,13 @@ def _build_shard_sketches(spec: tuple) -> NeighborhoodSketches:
 # parent side
 # ---------------------------------------------------------------------------
 class ShardedEngine:
-    """Per-shard sketch sets built in a process pool, served by routed queries.
+    """Per-shard sketch rows built in a process pool, served from one ProbGraph.
 
     Parameters mirror :class:`~repro.core.ProbGraph` (representation, budget,
     explicit sizes, ``oriented``, ``seed``, default ``estimator``), plus:
 
     num_shards:
-        Number of vertex shards (= per-shard sketch containers).
+        Number of vertex shards (= worker build tasks).
     partition:
         ``"hash"`` (random balanced, default) or ``"locality"`` (BFS chunks) —
         see :func:`repro.graph.partition.partition_graph`.
@@ -285,16 +266,19 @@ class ShardedEngine:
         worker slice its rows, ``"pickle"`` sends per-shard row-block arrays,
         ``"auto"`` (default) tries shared memory and falls back to pickling.
 
-    Queries are safe to issue from concurrent threads: evaluation state is
-    per-call (shard containers are only read), and the :attr:`comm` counters
-    are updated under a lock.
+    After the build, queries run the single-process kernels of
+    :mod:`repro.engine.batch` and :mod:`repro.engine.topk` over the held
+    ProbGraph under the default :class:`~repro.engine.EngineConfig` budget,
+    and :attr:`comm` meters what a routed execution would ship.  Queries are
+    safe to issue from concurrent threads: they only read the ProbGraph, and
+    the :attr:`comm` counters are updated under a lock.
 
     ``graph`` may also be a :class:`~repro.dynamic.graph.DynamicGraph`: the
     engine shards its current snapshot and remembers the source, and every
     query entry point then verifies the source has not applied batches the
-    shards never saw (raising :class:`StaleShardError` otherwise — route each
-    delta through :meth:`apply_delta` to keep serving).  The freshness check
-    is ``O(1)`` (a version counter) unless the source actually moved.
+    engine never saw (raising :class:`StaleShardError` otherwise — pass each
+    delta to :meth:`apply_delta` to keep serving).  The freshness check is
+    ``O(1)`` (a version counter) unless the source actually moved.
     """
 
     def __init__(
@@ -320,59 +304,63 @@ class ShardedEngine:
             raise ValueError("num_shards must be at least 1")
         if transport not in ("auto", "shm", "pickle"):
             raise ValueError(f"unknown transport {transport!r}; expected 'auto', 'shm', or 'pickle'")
-        if isinstance(graph, DynamicGraph):
-            self._source: DynamicGraph | None = graph
-            self._source_version = graph.version
-            graph = graph.snapshot()
-        else:
-            self._source = None
-            self._source_version = -1
-        self.graph = graph
-        self.storage_budget = float(storage_budget)
-        self.oriented = bool(oriented)
-        self.seed = int(seed)
-        self.params: SketchParams = resolve_sketch_params(
+        source = graph if isinstance(graph, DynamicGraph) else None
+        if source is not None:
+            graph = source.snapshot()
+        params = resolve_sketch_params(
             graph, representation, storage_budget, num_hashes, num_bits, k, precision
         )
-        self.estimator = (
-            check_estimator_kind(self.params.representation, estimator)
-            if estimator is not None
-            else self.params.default_estimator
-        )
-        self._base = graph.oriented() if oriented else graph
         self.partition: ShardPartition = partition_graph(
             graph, num_shards, method=partition,
-            seed=self.seed if partition_seed is None else int(partition_seed),
+            seed=int(seed) if partition_seed is None else int(partition_seed),
         )
-        self.family = self.params.make_family(self.seed)
+        base = graph.oriented() if oriented else graph
+        # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
+        start = time.perf_counter()
+        blocks = self._build(params, int(seed), base, pool, max_workers, transport)
+        pg = ProbGraph.from_sketches(
+            graph, self._assemble(blocks), params, oriented=oriented, seed=seed,
+            estimator=estimator, storage_budget=storage_budget, base=base,
+            construction_seconds=time.perf_counter() - start,  # reprolint: allow[determinism] -- timing stat only
+        )
+        self._attach(pg, source, [])
+
+    def _attach(
+        self, pg: ProbGraph, source: DynamicGraph | None, handles: list[StoreHandle]
+    ) -> None:
+        """Install the served ProbGraph and the per-engine runtime state."""
+        self._pg = pg
+        self.params: SketchParams = pg.sketch_params
+        self.seed = pg.seed
+        self.oriented = pg.oriented
+        self.estimator = pg.estimator
+        self.storage_budget = pg.storage_budget
+        self.construction_seconds = pg.construction_seconds
+        self._source = source
+        self._source_version = source.version if source is not None else -1
         self.comm = ShardCommStats()
         # Instrumented under reprosan: the comm lock guards the stats
         # counters, the patch lock serializes the structural mutators
-        # (apply_delta / repartition) whose row-array scatters are
-        # write-epoch stamped against it.
+        # (apply_delta / repartition / save).
         self._comm_lock = _san.make_rlock("ShardedEngine.comm")
         self._patch_lock = _san.make_rlock("ShardedEngine.patch")
         self._closed = False
-        self._handles: list[StoreHandle] = []
+        self._handles = handles
         self._update_counts = np.zeros(self.num_shards, dtype=np.int64)
-        self._lsh_indexes: "weakref.WeakSet[ShardedLSHIndex]" = weakref.WeakSet()
-        self._last_patch: tuple[str, np.ndarray] | None = None
-        # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
-        start = time.perf_counter()
-        self._shards: list[NeighborhoodSketches] = self._build(pool, max_workers, transport)
-        self.construction_seconds = time.perf_counter() - start  # reprolint: allow[determinism] -- timing stat only
+        self._lsh_indexes: "weakref.WeakSet[LSHIndex]" = weakref.WeakSet()
 
     # ------------------------------------------------------------ construction
-    def _shard_specs(self, transport: str) -> tuple[list[tuple], object | None]:
+    def _shard_specs(
+        self, params: SketchParams, seed: int, base: CSRGraph, transport: str
+    ) -> tuple[list[tuple], object | None]:
         """Build the per-shard worker specs; returns (specs, shm_handles)."""
-        base = self._base
         if transport == "pickle":
             specs = []
             for s in range(self.num_shards):
                 local_indptr, local_indices = self.partition.row_block(
                     base.indptr, base.indices, s
                 )
-                specs.append((self.params, self.seed, ("arrays", local_indptr, local_indices)))
+                specs.append((params, seed, ("arrays", local_indptr, local_indices)))
             return specs, None
         indptr = np.ascontiguousarray(base.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(base.indices, dtype=np.int64)
@@ -398,42 +386,33 @@ class ShardedEngine:
                 _san.release_segment(shm)
             raise
         specs = [
-            (
-                self.params,
-                self.seed,
-                (
-                    "shm",
-                    shm_indptr.name,
-                    indptr.shape[0],
-                    shm_indices.name,
-                    indices.shape[0],
-                    self.partition.shard_vertices[s],
-                ),
-            )
+            (params, seed, ("shm", shm_indptr.name, indptr.shape[0], shm_indices.name,
+                            indices.shape[0], self.partition.shard_vertices[s]))
             for s in range(self.num_shards)
         ]
         return specs, (shm_indptr, shm_indices)
 
     def _build(
         self,
+        params: SketchParams,
+        seed: int,
+        base: CSRGraph,
         pool: ProcessPoolExecutor | None,
         max_workers: int | None,
         transport: str,
     ) -> list[NeighborhoodSketches]:
         if self.num_shards == 1:
             # Nothing to fan out — build the single row block in-process.
-            return [
-                _build_shard_sketches(self._shard_specs("pickle")[0][0])
-            ]
+            return [_build_shard_sketches(self._shard_specs(params, seed, base, "pickle")[0][0])]
         if transport == "auto":
             try:
-                specs, handles = self._shard_specs("shm")
+                specs, handles = self._shard_specs(params, seed, base, "shm")
             except (OSError, ImportError):
                 # Shared memory unavailable (no /dev/shm, size limits, or no
                 # _posixshmem) — pickled row blocks are always possible.
-                specs, handles = self._shard_specs("pickle")
+                specs, handles = self._shard_specs(params, seed, base, "pickle")
         else:
-            specs, handles = self._shard_specs(transport)
+            specs, handles = self._shard_specs(params, seed, base, transport)
         try:
             if pool is not None:
                 return list(pool.map(_build_shard_sketches, specs))
@@ -443,6 +422,22 @@ class ShardedEngine:
             if handles is not None:
                 for shm in handles:
                     _san.release_segment(shm)
+
+    def _assemble(self, blocks: list[NeighborhoodSketches]) -> NeighborhoodSketches:
+        """Place every shard's rows at their global row IDs in one new container.
+
+        The one-time gather after the build: each row array is allocated once
+        at full size and every worker block is scattered into it, so the
+        transient peak is one extra copy of the sketches, not two.
+        """
+        merged = copy.copy(blocks[0])
+        for name in merged.storage_schema.row_arrays:
+            first = getattr(blocks[0], name)
+            rows = np.empty((self.partition.num_vertices,) + first.shape[1:], dtype=first.dtype)
+            for block, owned in zip(blocks, self.partition.shard_vertices):
+                rows[owned] = getattr(block, name)
+            setattr(merged, name, rows)
+        return merged
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -481,13 +476,14 @@ class ShardedEngine:
     def save(self, root: str | os.PathLike[str]) -> str:
         """Persist the engine into directory ``root`` for :meth:`open`.
 
-        Layout: ``manifest.json`` (session parameters and the graph
-        fingerprint), ``graph.pgsk`` (CSR adjacency), ``partition.pgsk``
-        (vertex ownership), and one ``shard_<i>.pgsk`` per shard container —
-        each a checksummed versioned block file
-        (:mod:`repro.storage.format`).  Saving is read-only with respect to
-        the engine and serialized against concurrent delta patches; the files
-        are byte-deterministic for a given engine state.  Returns ``root``.
+        Layout (manifest ``format`` 2): ``manifest.json`` (session parameters
+        and the graph fingerprint), ``graph.pgsk`` (CSR adjacency),
+        ``partition.pgsk`` (vertex ownership), and ``sketches.pgsk`` (every
+        sketch row in global row order) — each a checksummed versioned block
+        file (:mod:`repro.storage.format`).  Saving is read-only with respect
+        to the engine and serialized against concurrent delta patches; the
+        files are byte-deterministic for a given engine state.  Returns
+        ``root``.
         """
         self._ensure_open()
         root = os.fspath(root)
@@ -496,18 +492,13 @@ class ShardedEngine:
             fingerprint = self.graph.fingerprint()
             save_graph(os.path.join(root, "graph.pgsk"), self.graph)
             save_partition(os.path.join(root, "partition.pgsk"), self.partition)
-            for s, shard in enumerate(self._shards):
-                save_sketches(
-                    os.path.join(root, f"shard_{s}.pgsk"),
-                    shard,
-                    meta={
-                        "shard": s,
-                        "num_shards": self.num_shards,
-                        "fingerprint": fingerprint,
-                    },
-                )
+            save_sketches(
+                os.path.join(root, "sketches.pgsk"),
+                self._pg.sketches,
+                meta={"fingerprint": fingerprint},
+            )
             manifest = {
-                "format": 1,
+                "format": 2,
                 "kind": "sharded-engine",
                 "num_shards": self.num_shards,
                 "oriented": bool(self.oriented),
@@ -535,19 +526,20 @@ class ShardedEngine:
         """Attach an engine to a directory written by :meth:`save`.
 
         The cold-start counterpart of building: no process pool, no hashing —
-        the CSR adjacency and every shard container come straight from the
-        saved block files, zero-copy in ``"mmap"`` mode (``"eager"`` reads
-        them into process memory).  The opened engine answers every query
+        the CSR adjacency and the sketch rows come straight from the saved
+        block files, zero-copy in ``"mmap"`` mode (``"eager"`` reads them
+        into process memory).  The opened engine answers every query
         bit-identically to the engine that saved it; delta patches promote
-        the touched shard's mmap rows to writable copies lazily.  All store
-        handles are owned by the engine and released by :meth:`close`, where
-        the reprosan ledger audits them like shared-memory segments.
+        the mmap rows to writable copies lazily.  All store handles are owned
+        by the engine and released by :meth:`close`, where the reprosan
+        ledger audits them like shared-memory segments.
 
         ``estimator`` overrides the saved default estimator; everything else
         (representation, resolved sketch parameters, orientation, seed,
         partition) is restored from the manifest and verified against the
         per-file metadata and graph fingerprint
-        (:class:`~repro.storage.StoreFormatError` on any mismatch).
+        (:class:`~repro.storage.StoreFormatError` on any mismatch, including
+        a manifest of another ``format``).
         """
         root = os.fspath(root)
         # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
@@ -555,89 +547,72 @@ class ShardedEngine:
         manifest_path = os.path.join(root, "manifest.json")
         with open(manifest_path, encoding="utf-8") as f:
             manifest = json.load(f)
-        if manifest.get("kind") != "sharded-engine" or manifest.get("format") != 1:
+        if manifest.get("kind") != "sharded-engine" or manifest.get("format") != 2:
             raise StoreFormatError(
-                f"{manifest_path}: not a v1 sharded-engine manifest "
+                f"{manifest_path}: not a v2 sharded-engine manifest "
                 f"(kind={manifest.get('kind')!r}, format={manifest.get('format')!r})"
             )
-        num_shards = int(manifest["num_shards"])
         fingerprint = str(manifest["fingerprint"])
         engine = cls.__new__(cls)
-        engine._source = None
-        engine._source_version = -1
-        engine._closed = False
-        engine._handles = []
+        handles: list[StoreHandle] = []
         try:
             graph, graph_handle = load_graph(
                 os.path.join(root, "graph.pgsk"), mode=mode, owner=engine
             )
-            engine._handles.append(graph_handle)
+            handles.append(graph_handle)
             if graph.fingerprint() != fingerprint:
                 raise StoreFormatError(
                     f"{root}: stored adjacency fingerprint does not match the "
                     f"manifest ({graph.fingerprint()[:12]}... != {fingerprint[:12]}...)"
                 )
             partition = load_partition(os.path.join(root, "partition.pgsk"))
-            if partition.num_shards != num_shards:
+            if (partition.num_shards, partition.num_vertices) != (
+                int(manifest["num_shards"]), graph.num_vertices
+            ):
                 raise StoreFormatError(
-                    f"{root}: partition has {partition.num_shards} shards, "
-                    f"manifest says {num_shards}"
+                    f"{root}: partition ({partition.num_shards} shards over "
+                    f"{partition.num_vertices} vertices) does not match the "
+                    f"manifest ({manifest['num_shards']} shards) and adjacency "
+                    f"({graph.num_vertices} vertices)"
                 )
-            if partition.owners.shape[0] != graph.num_vertices:
+            sketches, handle = load_sketches(
+                os.path.join(root, "sketches.pgsk"), mode=mode, owner=engine
+            )
+            handles.append(handle)
+            if (
+                handle.meta.get("fingerprint") != fingerprint
+                or sketches.num_sets != graph.num_vertices
+            ):
                 raise StoreFormatError(
-                    f"{root}: partition covers {partition.owners.shape[0]} "
-                    f"vertices, adjacency has {graph.num_vertices}"
+                    f"{root}/sketches.pgsk: {sketches.num_sets} rows stored for "
+                    f"{graph.num_vertices} vertices, or the graph fingerprint "
+                    "does not match the manifest"
                 )
-            shards: list[NeighborhoodSketches] = []
-            for s in range(num_shards):
-                shard, handle = load_sketches(
-                    os.path.join(root, f"shard_{s}.pgsk"), mode=mode, owner=engine
-                )
-                engine._handles.append(handle)
-                if (
-                    int(handle.meta.get("shard", -1)) != s
-                    or handle.meta.get("fingerprint") != fingerprint
-                ):
-                    raise StoreFormatError(
-                        f"{root}/shard_{s}.pgsk: shard metadata does not match "
-                        "the manifest (wrong shard index or graph fingerprint)"
-                    )
-                expected_rows = partition.shard_vertices[s].shape[0]
-                if shard.num_sets != expected_rows:
-                    raise StoreFormatError(
-                        f"{root}/shard_{s}.pgsk: {shard.num_sets} rows stored, "
-                        f"partition owns {expected_rows}"
-                    )
-                shards.append(shard)
         except Exception:
-            engine._closed = True
-            for handle in engine._handles:
+            for handle in handles:
                 handle.close()
             raise
-        engine.graph = graph
-        engine.storage_budget = float(manifest["storage_budget"])
-        engine.oriented = bool(manifest["oriented"])
-        engine.seed = int(manifest["seed"])
-        engine.params = sketch_params_from_meta(manifest["sketch_params"])
-        engine.estimator = (
-            check_estimator_kind(engine.params.representation, estimator)
-            if estimator is not None
-            else EstimatorKind(manifest["estimator"])
-        )
-        engine._base = graph.oriented() if engine.oriented else graph
+        oriented = bool(manifest["oriented"])
         engine.partition = partition
-        engine.family = engine.params.make_family(engine.seed)
-        engine.comm = ShardCommStats()
-        engine._comm_lock = _san.make_rlock("ShardedEngine.comm")
-        engine._patch_lock = _san.make_rlock("ShardedEngine.patch")
-        engine._update_counts = np.zeros(num_shards, dtype=np.int64)
-        engine._lsh_indexes = weakref.WeakSet()
-        engine._last_patch = None
-        engine._shards = shards
-        engine.construction_seconds = time.perf_counter() - start  # reprolint: allow[determinism] -- timing stat only
+        pg = ProbGraph.from_sketches(
+            graph,
+            sketches,
+            sketch_params_from_meta(manifest["sketch_params"]),
+            oriented=oriented,
+            seed=int(manifest["seed"]),
+            estimator=estimator if estimator is not None else manifest["estimator"],
+            storage_budget=float(manifest["storage_budget"]),
+            construction_seconds=time.perf_counter() - start,  # reprolint: allow[determinism] -- timing stat only
+        )
+        engine._attach(pg, None, handles)
         return engine
 
     # ------------------------------------------------------------- properties
+    @property
+    def graph(self) -> CSRGraph:
+        """The graph the engine currently serves (advanced by :meth:`apply_delta`)."""
+        return self._pg.graph
+
     @property
     def num_shards(self) -> int:
         """Number of vertex shards."""
@@ -650,101 +625,90 @@ class ShardedEngine:
 
     @property
     def owners(self) -> np.ndarray:
-        """Shard owning each vertex (the partitioning the queries route by)."""
+        """Shard owning each vertex (the partitioning queries are metered by)."""
         return self.partition.owners
 
     @property
     def base_degrees(self) -> np.ndarray:
         """Degrees of the sketched base (oriented ``N+`` when oriented) — see
         :attr:`repro.core.ProbGraph.base_degrees`."""
-        return self._base.degrees
+        return self._pg.base_degrees
 
     @property
     def bits_per_set(self) -> int:
         """Fixed sketch size per vertex — the shipment payload of §VIII-F."""
-        return self.family.bits_per_set
+        return self._pg.family.bits_per_set
 
     @property
     def representation(self) -> Representation:
         """The sketch family served by this engine."""
         return self.params.representation
 
-    # ---------------------------------------------------------------- routing
+    # ------------------------------------------------------------------ meter
     def _route(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Home shard, cut mask, and shipped endpoint of every queried pair.
+        """Positions of the cut pairs, then the shipped endpoint and home shard of each.
 
         Mirrors :func:`repro.parallel.distributed.communication_volume`: a
-        same-shard pair is evaluated where it lives; a cut pair ships the
-        lower-degree endpoint's sketch row to the other endpoint's shard
-        (ties ship the first endpoint), so the evaluation happens at the
-        receiving shard.
+        same-shard pair is evaluated where it lives and ships nothing; a cut
+        pair ships the lower-degree endpoint's sketch row to the other
+        endpoint's shard (ties ship the first endpoint), so the evaluation
+        happens at the receiving shard.
         """
         owners = self.partition.owners
         ou = owners[u]
         ov = owners[v]
+        cut = np.flatnonzero(ou != ov)  # positions: far cheaper than a mask gather
+        u, v, ou, ov = u[cut], v[cut], ou[cut], ov[cut]
         degs = self.graph.degrees
         ship_u = degs[u] <= degs[v]
-        home = np.where(ou == ov, ou, np.where(ship_u, ov, ou))
-        shipped = np.where(ship_u, u, v)
-        return home, ou != ov, shipped
+        return cut, np.where(ship_u, u, v), np.where(ship_u, ov, ou)
 
-    def _eval_container(
-        self, shard: int, local_vertices: np.ndarray, ship_vertices: np.ndarray
-    ) -> tuple[NeighborhoodSketches, np.ndarray]:
-        """A container over exactly the rows one routed evaluation touches.
+    def _meter(self, pairs: int = 0, cut: int = 0, shipments: int = 0) -> None:
+        """Count one served query and the rows a routed execution would ship."""
+        with self._comm_lock:
+            self.comm.queries += 1
+            self.comm.routed_pairs += pairs
+            self.comm.cut_pairs += cut
+            self.comm.shipments += shipments
+            self.comm.sketch_bytes += shipments * self.bits_per_set / 8.0
 
-        ``local_vertices`` (unique global IDs owned by ``shard``) stay put;
-        ``ship_vertices`` (unique global IDs owned by *other* shards) are
-        gathered from their owners' containers — each gather is one counted
-        shipment of ``bits_per_set`` bits — and appended after them.  Only the
-        referenced rows are copied (never the whole shard), and when the query
-        touches every owned row with nothing shipped, the shard's container is
-        returned as-is.  The returned lookup is a fresh per-call array (queries
-        are safe to issue concurrently) mapping every referenced global ID to
-        its row in the returned container.
+    def _metered_pairs(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Check freshness, validate the pair arrays, and meter the pair query.
+
+        A pair query ships one row per unique ``(shipped vertex, home shard)``
+        over its cut pairs.
         """
-        owned = self.partition.shard_vertices[shard]
-        lookup = np.empty(self.graph.num_vertices, dtype=np.int64)
-        if ship_vertices.size == 0 and local_vertices.shape[0] == owned.shape[0]:
-            # local_vertices is a unique subset of owned, so equal sizes mean
-            # the query touches the whole shard: serve the container in place.
-            lookup[owned] = np.arange(owned.shape[0], dtype=np.int64)
-            return self._shards[shard], lookup
-        parts = [self._shards[shard].take_rows(self.partition.local_index[local_vertices])]
-        lookup[local_vertices] = np.arange(local_vertices.shape[0], dtype=np.int64)
-        if ship_vertices.size:
-            src = self.partition.owners[ship_vertices]
-            order = np.argsort(src, kind="stable")
-            grouped = ship_vertices[order]
-            src_sorted = src[order]
-            for t in np.unique(src_sorted):
-                rows_t = grouped[src_sorted == t]
-                parts.append(
-                    self._shards[int(t)].take_rows(self.partition.local_index[rows_t])
-                )
-            lookup[grouped] = local_vertices.shape[0] + np.arange(
-                grouped.shape[0], dtype=np.int64
-            )
-            with self._comm_lock:
-                self.comm.shipments += int(ship_vertices.size)
-                self.comm.sketch_bytes += float(ship_vertices.size) * self.bits_per_set / 8.0
-        return concat_sketch_rows(parts), lookup
+        self._check_fresh()
+        u, v = _as_pair_arrays(u, v, self.num_vertices)
+        cut, shipped, home = self._route(u, v)
+        # Sort-and-count, not np.unique: the count is all the meter needs, and
+        # under NumPy 2.4 np.unique takes ~0.6 ms on 4k int64 keys, a sort ~0.03 ms.
+        keys = np.sort(shipped * self.num_shards + home)
+        shipments = int(keys.shape[0] and 1 + np.count_nonzero(keys[1:] != keys[:-1]))
+        self._meter(u.shape[0], keys.shape[0], shipments)
+        return u, v
 
-    def _container_pairs(
-        self,
-        container: NeighborhoodSketches,
-        lu: np.ndarray,
-        lv: np.ndarray,
-        kind: EstimatorKind,
-    ) -> np.ndarray:
-        if isinstance(container, BloomNeighborhoodSketches):
-            return np.asarray(container.pair_intersections(lu, lv, estimator=kind), dtype=np.float64)
-        return np.asarray(container.pair_intersections(lu, lv), dtype=np.float64)
+    def _meter_topk(self, sources: np.ndarray, candidates: np.ndarray | None, k: int) -> None:
+        """Meter a top-k query: every unique source ships once to each
+        candidate-owning shard other than its own."""
+        shipments = 0
+        if sources.shape[0] and k:
+            owners = self.partition.owners
+            if candidates is None:
+                holds = self.partition.shard_sizes() > 0
+            else:
+                holds = np.bincount(
+                    owners[np.asarray(candidates).ravel()], minlength=self.num_shards
+                ) > 0
+            unique_sources = np.unique(sources)
+            local = np.bincount(owners[unique_sources], minlength=self.num_shards)
+            shipments = int(holds.sum()) * unique_sources.shape[0] - int(local[holds].sum())
+        self._meter(shipments=shipments)
 
-    def _resolve_estimator(self, estimator: EstimatorKind | str | None) -> EstimatorKind:
-        if estimator is None:
-            return self.estimator
-        return check_estimator_kind(self.params.representation, estimator)
+    def _meter_probe(self) -> None:
+        """The hook installed on :meth:`lsh_index` indexes: freshness + one query."""
+        self._check_fresh()
+        self._meter()
 
     # ------------------------------------------------------------ freshness
     def _check_fresh(self) -> None:
@@ -763,39 +727,24 @@ class ShardedEngine:
             raise StaleShardError(
                 "the source DynamicGraph applied batch(es) this engine never "
                 f"saw (source version {source.version}, engine saw "
-                f"{self._source_version}); route each GraphDelta through "
-                "ShardedEngine.apply_delta instead of querying stale shards"
+                f"{self._source_version}); pass each GraphDelta to "
+                "ShardedEngine.apply_delta instead of querying a stale engine"
             )
         self._source_version = source.version
 
     # ---------------------------------------------------------------- patching
     def apply_delta(self, delta: GraphDelta) -> int:
-        """Route one :class:`~repro.dynamic.graph.GraphDelta` to the owning shards.
+        """Apply one :class:`~repro.dynamic.graph.GraphDelta` to the engine.
 
-        The sharded counterpart of :meth:`repro.core.ProbGraph.apply_delta` —
-        the delta is split by ``partition.owners`` into per-shard sub-deltas
-        (a cut edge's endpoints patch *both* owning shards), global vertex IDs
-        are translated to local container rows, and each shard's container is
-        patched **in place**:
-
-        * new vertices are assigned to the smallest shards
-          (:meth:`ShardPartition.assign_balanced`), the partition's ID maps
-          are extended, and the owning containers grow;
-        * pure insertions go through the containers' incremental
-          ``apply_delta`` (the delta's global set elements need no
-          translation — only the *row* addressing is shard-local);
-        * deletion-touched (and, when oriented, orientation-changed) rows are
-          rebuilt from the new adjacency with the reference row builder and
-          scattered over the owners' ``_row_arrays``.
-
-        The patched shards are bit-identical to a fresh sharded rebuild on
-        ``delta.graph`` (asserted across all five families × shard counts ×
-        orientations in the test suite).  Shard objects are patched, never
-        replaced, so live :class:`ShardedLSHIndex` objects stay valid — every
-        registered index marks the touched rows dirty and re-keys its bucket
-        entries lazily on the next probe (so a burst of deltas pays one table
-        splice, not one per delta).  Per-shard patch activity accumulates in
-        :meth:`skew_stats`.  Returns the number of patched rows.
+        The held ProbGraph is patched in place by
+        :meth:`repro.core.ProbGraph.apply_delta` (only the touched rows
+        change; bit-identical to a fresh build on ``delta.graph``), grown
+        vertices are assigned to the smallest shards
+        (:meth:`ShardPartition.assign_balanced`), the touched rows are
+        counted per owning shard in :meth:`skew_stats`, and every live index
+        from :meth:`lsh_index` is re-keyed through
+        :meth:`LSHIndex.apply_delta <repro.engine.lsh.LSHIndex.apply_delta>`.
+        Returns the number of touched rows.
 
         Note the single-process caveat applies here too: budget-derived
         parameters re-resolve against the *grown* graph on a fresh build, so
@@ -804,102 +753,32 @@ class ShardedEngine:
         """
         self._ensure_open()
         with self._patch_lock:
-            return self._apply_delta_locked(delta)
-
-    def _apply_delta_locked(self, delta: GraphDelta) -> int:
-        if delta.old_fingerprint != self.graph.fingerprint():
-            raise ValueError(
-                "delta does not start at this engine's graph (expected "
-                f"fingerprint {self.graph.fingerprint()[:12]}..., got "
-                f"{delta.old_fingerprint[:12]}...)"
-            )
-        new_graph = delta.graph
-        grown = np.arange(
-            self.graph.num_vertices, new_graph.num_vertices, dtype=np.int64
-        )
-        if grown.size:
-            self.partition = self.partition.extend(
-                self.partition.assign_balanced(grown.shape[0])
-            )
-            for s in range(self.num_shards):
-                self._shards[s].grow(self.partition.shard_vertices[s].shape[0])
-        if self.oriented:
-            new_base, touched = delta.oriented_update(self._base)
-            self._patch_resketch(touched, new_base)
-            self._base = new_base
-        else:
-            dirty = delta.dirty_vertices
-            ins_vertices, ins_indptr, ins_indices = delta.insertions_excluding(dirty)
-            self._patch_insert(new_graph, ins_vertices, ins_indptr, ins_indices)
-            self._patch_resketch(dirty, new_graph)
-            touched = np.union1d(ins_vertices, dirty)
-            self._base = new_graph
-        self.graph = new_graph
-        touched = np.union1d(touched, grown)
-        if touched.size:
-            self._update_counts += np.bincount(
-                self.partition.owners[touched], minlength=self.num_shards
-            )
-        if self._source is not None and (
-            self._source.snapshot() is new_graph
-            or self._source.snapshot().fingerprint() == new_graph.fingerprint()
-        ):
-            self._source_version = self._source.version
-        self._last_patch = (delta.new_fingerprint, touched)
-        for index in list(self._lsh_indexes):
-            index._patch_touched(touched)
-        return int(touched.size)
-
-    def _patch_insert(
-        self,
-        new_graph: CSRGraph,
-        ins_vertices: np.ndarray,
-        ins_indptr: np.ndarray,
-        ins_indices: np.ndarray,
-    ) -> None:
-        """Apply the pure-insertion sub-delta of each owning shard in place."""
-        if ins_vertices.size == 0:
-            return
-        _san.stamp_write(self._patch_lock, "ShardedEngine._row_arrays")
-        counts = np.diff(ins_indptr)
-        owners = self.partition.owners[ins_vertices]
-        for s in np.unique(owners):
-            sel = owners == s
-            vs = ins_vertices[sel]
-            flat = ragged_gather(ins_indptr[:-1][sel], counts[sel])
-            sub_indptr = np.concatenate([[0], np.cumsum(counts[sel])]).astype(np.int64)
-            new_sizes = (
-                new_graph.indptr[vs + 1] - new_graph.indptr[vs]
-            ).astype(np.float64)
-            self._shards[int(s)].apply_delta(
-                self.partition.local_index[vs], sub_indptr, ins_indices[flat], new_sizes
-            )
-
-    def _patch_resketch(self, rows: np.ndarray, base: CSRGraph) -> None:
-        """Rebuild the given global rows from ``base`` and scatter them in place.
-
-        The containers' ``resketch_rows`` indexes its CSR arguments by the
-        container's own row IDs, which are shard-*local* here while the
-        adjacency is global — so instead, slice the global row block
-        (:func:`~repro.graph.partition.slice_row_block`), rebuild it with the
-        reference builder (``family.sketch_neighborhoods``, the same pure
-        function a fresh shard build runs), and scatter the ``_row_arrays``
-        payload — the complete per-row state — into the owners' containers.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        _san.stamp_write(self._patch_lock, "ShardedEngine._row_arrays")
-        owners = self.partition.owners[rows]
-        for s in np.unique(owners):
-            vs = rows[owners == s]
-            local_indptr, local_indices = slice_row_block(base.indptr, base.indices, vs)
-            fresh = self.family.sketch_neighborhoods(local_indptr, local_indices)
-            shard = self._shards[int(s)]
-            shard.promote_rows_writable()
-            local = self.partition.local_index[vs]
-            for name in shard._row_arrays:
-                getattr(shard, name)[local] = getattr(fresh, name)
+            old_n = self.num_vertices
+            old_base = self._pg._base
+            _san.stamp_write(self._patch_lock, "ShardedEngine.sketches")
+            self._pg.apply_delta(delta)
+            if self.oriented:
+                _, touched = delta.oriented_update(old_base)  # memoized by the patch
+            else:
+                touched = np.union1d(delta.ins_vertices, delta.dirty_vertices)
+            grown = np.arange(old_n, self.num_vertices, dtype=np.int64)
+            if grown.size:
+                self.partition = self.partition.extend(
+                    self.partition.assign_balanced(grown.shape[0])
+                )
+            touched = np.union1d(touched, grown)
+            if touched.size:
+                self._update_counts += np.bincount(
+                    self.partition.owners[touched], minlength=self.num_shards
+                )
+            if self._source is not None and (
+                self._source.snapshot() is delta.graph
+                or self._source.snapshot().fingerprint() == delta.new_fingerprint
+            ):
+                self._source_version = self._source.version
+            for index in list(self._lsh_indexes):
+                index.apply_delta(delta)
+            return int(touched.size)
 
     # ------------------------------------------------------------ skew / balance
     def skew_stats(self) -> ShardSkewStats:
@@ -916,36 +795,21 @@ class ShardedEngine:
         )
 
     def repartition(self, method: str = "hash", seed: int | None = None) -> ShardSkewStats:
-        """Re-balance vertex ownership by redistributing the existing sketch rows.
+        """Re-balance vertex ownership; no sketch row moves or is rebuilt.
 
-        Sketch rows are position-independent, so rebalancing never rebuilds a
-        sketch: the shard containers are concatenated, reordered into the new
-        ownership, and re-split with ``take_rows`` — an ``O(n · k)`` row
-        shuffle with no hashing.  Registered LSH indexes are re-banded over
-        the new layout.  Call when :meth:`skew_stats` reports
-        ``needs_repartition()`` (streams that grow the graph unevenly, or a
-        locality partition whose regions drifted).  Resets the update
-        counters and returns the fresh stats.
+        Only the partition (and so the communication meter) changes: every
+        query keeps returning the same floats.  Call when :meth:`skew_stats`
+        reports ``needs_repartition()`` (streams that grow the graph
+        unevenly, or a locality partition whose regions drifted).  Resets
+        the update counters and returns the fresh stats.
         """
         self._check_fresh()
         with self._patch_lock:
-            merged = concat_sketch_rows(self._shards)
-            order = np.concatenate(self.partition.shard_vertices)
-            inverse = np.empty(self.graph.num_vertices, dtype=np.int64)
-            inverse[order] = np.arange(self.graph.num_vertices, dtype=np.int64)
             self.partition = partition_graph(
                 self.graph, self.num_shards, method=method,
                 seed=self.seed if seed is None else int(seed),
             )
-            _san.stamp_write(self._patch_lock, "ShardedEngine._row_arrays")
-            self._shards = [
-                merged.take_rows(inverse[self.partition.shard_vertices[s]])
-                for s in range(self.num_shards)
-            ]
             self._update_counts = np.zeros(self.num_shards, dtype=np.int64)
-            self._last_patch = None
-            for index in list(self._lsh_indexes):
-                index._rebuild_from_engine()
             return self.skew_stats()
 
     # ----------------------------------------------------------------- queries
@@ -955,41 +819,15 @@ class ShardedEngine:
         v: np.ndarray,
         estimator: EstimatorKind | str | None = None,
     ) -> np.ndarray:
-        """Estimate ``|N_u ∩ N_v|`` per pair by routed scatter-gather.
+        """Estimate ``|N_u ∩ N_v|`` per pair, chunk-streamed and metered.
 
-        Bit-identical to the single-process
+        Runs :func:`repro.engine.batch.batched_pair_intersections` on the held
+        ProbGraph, so it is bit-identical to
         :meth:`repro.engine.PGSession.pair_intersections` for the same
-        parameters and seed: each pair is evaluated from the same two sketch
-        rows by the same pure estimator, merely *where* the rows live.
+        parameters and seed.
         """
-        self._check_fresh()
-        kind = self._resolve_estimator(estimator)
-        u = np.asarray(u, dtype=np.int64).ravel()
-        v = np.asarray(v, dtype=np.int64).ravel()
-        if u.shape != v.shape:
-            raise ValueError("u and v must have the same shape")
-        total = u.shape[0]
-        if total == 0:
-            with self._comm_lock:
-                self.comm.queries += 1
-            return np.empty(0, dtype=np.float64)
-        home, cut, shipped = self._route(u, v)
-        with self._comm_lock:
-            self.comm.queries += 1
-            self.comm.routed_pairs += total
-            self.comm.cut_pairs += int(np.count_nonzero(cut))
-        out = np.empty(total, dtype=np.float64)
-        homes = np.unique(home)
-        record_query(total, len(homes))
-        for s in homes:
-            idx = np.flatnonzero(home == s)
-            endpoints = np.unique(np.concatenate([u[idx], v[idx]]))
-            owned_here = self.partition.owners[endpoints] == s
-            container, lookup = self._eval_container(
-                int(s), endpoints[owned_here], endpoints[~owned_here]
-            )
-            out[idx] = self._container_pairs(container, lookup[u[idx]], lookup[v[idx]], kind)
-        return out
+        u, v = self._metered_pairs(u, v)
+        return batched_pair_intersections(self._pg, u, v, estimator=estimator)
 
     def pair_jaccard(
         self,
@@ -997,21 +835,9 @@ class ShardedEngine:
         v: np.ndarray,
         estimator: EstimatorKind | str | None = None,
     ) -> np.ndarray:
-        """Approximate Jaccard per pair — routed intersections over base degrees."""
-        inter = self.pair_intersections(u, v, estimator=estimator)
-        degrees = self.base_degrees.astype(np.float64)
-        u = np.asarray(u, dtype=np.int64).ravel()
-        v = np.asarray(v, dtype=np.int64).ravel()
-        return intersection_to_jaccard(inter, degrees[u], degrees[v])
-
-    def sum_pair_intersections(
-        self,
-        u: np.ndarray,
-        v: np.ndarray,
-        estimator: EstimatorKind | str | None = None,
-    ) -> float:
-        """``Σ |N_u ∩ N_v|`` over all pairs (the sharded triangle-count kernel)."""
-        return float(self.pair_intersections(u, v, estimator=estimator).sum())
+        """Approximate Jaccard per pair — intersections over base degrees."""
+        u, v = self._metered_pairs(u, v)
+        return batched_pair_jaccard(self._pg, u, v, estimator=estimator)
 
     def top_k_similar_batch(
         self,
@@ -1022,118 +848,21 @@ class ShardedEngine:
         estimator: EstimatorKind | str | None = None,
         exclude_self: bool = True,
     ) -> TopKResult:
-        """Per-source top-k retrieval, scattered over shards and gathered.
+        """Per-source top-k retrieval, streamed and metered.
 
-        Each source's sketch row is broadcast once per candidate-owning shard
-        (counted shipments); every shard scores the sources against its *own*
-        candidates and selects a local top-k; the per-shard selections are
-        merged under the canonical order (score descending, candidate ID
-        ascending on ties).  Bit-identical to
+        Runs :func:`repro.engine.topk.topk_per_source` on the held ProbGraph,
+        so it is bit-identical to
         :meth:`repro.engine.PGSession.top_k_similar_batch` with the same
         ``measure`` (``"jaccard"`` or ``"intersection"``/``"common_neighbors"``).
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if measure not in ("jaccard", "intersection", "common_neighbors"):
-            raise ValueError(
-                f"unknown measure {measure!r}; expected 'jaccard', 'intersection', "
-                "or 'common_neighbors'"
-            )
         self._check_fresh()
-        kind = self._resolve_estimator(estimator)
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        if candidates is None:
-            candidates = np.arange(self.num_vertices, dtype=np.int64)
-        else:
-            candidates = np.unique(np.asarray(candidates, dtype=np.int64).ravel())
-        num_sources = sources.shape[0]
-        k = min(int(k), candidates.shape[0])
-        record_topk()
-        with self._comm_lock:
-            self.comm.queries += 1
-        if num_sources == 0 or k == 0:
-            return TopKResult(
-                np.empty((num_sources, k), dtype=np.int64),
-                np.empty((num_sources, k), dtype=np.float64),
-            )
-        degrees = self.base_degrees.astype(np.float64)
-        best_idx = np.full((num_sources, k), -1, dtype=np.int64)
-        best_scores = np.full((num_sources, k), -np.inf, dtype=np.float64)
-        cand_owner = self.partition.owners[candidates]
-        for s in np.unique(cand_owner):
-            cand_s = candidates[cand_owner == s]
-            source_owners = self.partition.owners[sources]
-            local_needed = np.unique(
-                np.concatenate([cand_s, sources[source_owners == s]])
-            )
-            ship = np.unique(sources[source_owners != s])
-            container, lookup = self._eval_container(int(s), local_needed, ship)
-            local_sources = lookup[sources]
-            shard_idx, shard_scores = self._shard_topk(
-                container, lookup, local_sources, sources, cand_s, k, measure,
-                kind, degrees, exclude_self,
-            )
-            # Canonical cross-shard merge: candidate IDs are disjoint across
-            # shards, so sorting by ID then stably by descending score yields
-            # exactly the materialized reference's tie order.
-            merged_idx = np.concatenate([best_idx, shard_idx], axis=1)
-            merged_scores = np.concatenate([best_scores, shard_scores], axis=1)
-            by_id = np.argsort(merged_idx, axis=1, kind="stable")
-            merged_idx = np.take_along_axis(merged_idx, by_id, axis=1)
-            merged_scores = np.take_along_axis(merged_scores, by_id, axis=1)
-            by_score = np.argsort(-merged_scores, axis=1, kind="stable")[:, :k]
-            best_idx = np.take_along_axis(merged_idx, by_score, axis=1)
-            best_scores = np.take_along_axis(merged_scores, by_score, axis=1)
-        invalid = ~np.isfinite(best_scores)
-        best_idx[invalid] = -1
-        best_scores[invalid] = 0.0
-        return TopKResult(best_idx, best_scores)
-
-    def _shard_topk(
-        self,
-        container: NeighborhoodSketches,
-        lookup: np.ndarray,
-        local_sources: np.ndarray,
-        sources: np.ndarray,
-        cand_s: np.ndarray,
-        k: int,
-        measure: str,
-        kind: EstimatorKind,
-        degrees: np.ndarray,
-        exclude_self: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One shard's local top-k over its owned candidates, window-streamed."""
-        num_sources = sources.shape[0]
-        kk = min(k, cand_s.shape[0])
-        best_idx = np.full((num_sources, kk), -1, dtype=np.int64)
-        best_scores = np.full((num_sources, kk), -np.inf, dtype=np.float64)
-        window = max(resolve_chunk_pairs(container) // max(num_sources, 1), 1)
-        for start, stop in chunked_ranges(cand_s.shape[0], window):
-            cw = cand_s[start:stop]
-            width = cw.shape[0]
-            uu = np.repeat(local_sources, width)
-            vv = np.tile(lookup[cw], num_sources)
-            inter = self._container_pairs(container, uu, vv, kind).reshape(num_sources, width)
-            if measure == "jaccard":
-                du = np.repeat(degrees[sources], width).reshape(num_sources, width)
-                dv = np.broadcast_to(degrees[cw], (num_sources, width))
-                scores = intersection_to_jaccard(inter.ravel(), du.ravel(), dv.ravel())
-                scores = scores.reshape(num_sources, width)
-            else:
-                scores = inter
-            if exclude_self:
-                scores = np.where(sources[:, None] == cw[None, :], -np.inf, scores)
-            # Candidates arrive in ascending ID order, so the stable sort of
-            # [running | window] breaks score ties by ascending candidate ID
-            # (the same invariant repro.engine.topk relies on).
-            merged_scores = np.concatenate([best_scores, scores], axis=1)
-            merged_idx = np.concatenate(
-                [best_idx, np.broadcast_to(cw, (num_sources, width))], axis=1
-            )
-            order = np.argsort(-merged_scores, axis=1, kind="stable")[:, :kk]
-            best_scores = np.take_along_axis(merged_scores, order, axis=1)
-            best_idx = np.take_along_axis(merged_idx, order, axis=1)
-        return best_idx, best_scores
+        result = topk_per_source(
+            self._pg, sources, k, candidates=candidates, score=measure,
+            estimator=estimator, exclude_self=exclude_self,
+        )
+        # topk_per_source has validated the IDs by now.
+        self._meter_topk(np.asarray(sources).ravel(), candidates, result.indices.shape[1])
+        return result
 
     def top_k_similar(
         self,
@@ -1145,8 +874,7 @@ class ShardedEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Single-source convenience over :meth:`top_k_similar_batch`."""
         result = self.top_k_similar_batch(
-            np.asarray([u], dtype=np.int64), k, measure=measure,
-            candidates=candidates, estimator=estimator,
+            np.asarray([u]), k, measure=measure, candidates=candidates, estimator=estimator,
         )
         return result.indices[0], result.scores[0]
 
@@ -1155,11 +883,20 @@ class ShardedEngine:
         num_bands: int | None = None,
         rows_per_band: int | None = None,
         threshold: float = DEFAULT_LSH_THRESHOLD,
-    ) -> "ShardedLSHIndex":
-        """Per-shard LSH bucket tables with routed probes — see :class:`ShardedLSHIndex`."""
-        return ShardedLSHIndex(
-            self, num_bands=num_bands, rows_per_band=rows_per_band, threshold=threshold
+    ) -> LSHIndex:
+        """An :class:`~repro.engine.lsh.LSHIndex` over the held ProbGraph.
+
+        The index checks this engine's freshness and counts one
+        :attr:`comm` query per probe, and :meth:`apply_delta` re-keys it for
+        as long as it is alive (weak registration — dropping the index is
+        enough to stop paying for its maintenance).
+        """
+        index = LSHIndex(
+            self._pg, num_bands=num_bands, rows_per_band=rows_per_band, threshold=threshold
         )
+        index.before_query = self._meter_probe
+        self._lsh_indexes.add(index)
+        return index
 
     # -------------------------------------------------------------- validation
     def communication_model(
@@ -1170,8 +907,7 @@ class ShardedEngine:
         Uses the engine's own ``owners`` and (by default) its actual
         ``bits_per_set``, so after one ``pair_intersections`` query over the
         graph's edge array the model's ``shipments`` and ``sketch_bytes``
-        equal what :attr:`comm` just measured — the model is validated against
-        the bytes the engine really moves.
+        equal what :attr:`comm` just metered.
         """
         return communication_volume(
             self.graph,
@@ -1184,28 +920,24 @@ class ShardedEngine:
 
     # ------------------------------------------------------------------ gather
     def to_probgraph(self, estimator: EstimatorKind | str | None = None) -> ProbGraph:
-        """Assemble the shard containers into one full-graph :class:`ProbGraph`.
+        """An independent copy of the served sketch set as a :class:`ProbGraph`.
 
-        The per-shard rows are scattered back into global row order; the
-        result is bit-identical to ``ProbGraph(graph, ...)`` with the same
-        parameters and seed (asserted by the test suite), so it can serve
-        every single-process engine path — including being cached in a
-        :class:`~repro.engine.PGSession` (the ``shards=`` build option).
+        Bit-identical to ``ProbGraph(graph, ...)`` with the same parameters
+        and seed (asserted by the test suite), and independent of the engine:
+        later deltas do not reach it.  Pass it to :func:`~repro.triangle_count`,
+        :func:`~repro.knn_graph` or any other single-process path.
         """
         self._check_fresh()
-        merged = concat_sketch_rows(self._shards)
-        order = np.concatenate(self.partition.shard_vertices)
-        inverse = np.empty(self.graph.num_vertices, dtype=np.int64)
-        inverse[order] = np.arange(self.graph.num_vertices, dtype=np.int64)
+        pg = self._pg
         return ProbGraph.from_sketches(
-            self.graph,
-            merged.take_rows(inverse),
+            pg.graph,
+            pg.sketches.take_rows(np.arange(pg.num_vertices, dtype=np.int64)),
             self.params,
             oriented=self.oriented,
             seed=self.seed,
             estimator=estimator if estimator is not None else self.estimator,
             storage_budget=self.storage_budget,
-            base=self._base,
+            base=pg._base,
             construction_seconds=self.construction_seconds,
         )
 
@@ -1213,315 +945,6 @@ class ShardedEngine:
         return (
             f"ShardedEngine(n={self.num_vertices}, shards={self.num_shards}, "
             f"representation={self.params.representation.value}, seed={self.seed})"
-        )
-
-
-class ShardedLSHIndex:
-    """Per-shard MinHash-LSH bucket tables with routed probes and canonical merge.
-
-    The sharded counterpart of :class:`~repro.engine.lsh.LSHIndex`: every
-    shard builds the bucket tables of its *own* sketch rows (entries carry
-    global vertex IDs, so the per-shard tables partition the single-process
-    table), a query computes its band keys once on the owner shard's rows and
-    probes every shard's tables, and the colliding candidates — a disjoint
-    union across shards — are scored through the engine's routed
-    scatter-gather (counted shipments) and selected under the canonical
-    order.  Because the probed entries, the scoring floats, and the selection
-    are each identical to the single-process path, ``topk_similar_batch`` is
-    **bit-identical** to :meth:`LSHIndex.topk_similar_batch
-    <repro.engine.lsh.LSHIndex.topk_similar_batch>` over
-    :meth:`ShardedEngine.to_probgraph` for any shard count (asserted by the
-    recall-contract suite).
-
-    Families without signature matrices (Bloom / HLL), and ``exact=True``
-    calls, fall back to :meth:`ShardedEngine.top_k_similar_batch`.
-    """
-
-    def __init__(
-        self,
-        engine: ShardedEngine,
-        num_bands: int | None = None,
-        rows_per_band: int | None = None,
-        threshold: float = DEFAULT_LSH_THRESHOLD,
-    ) -> None:
-        self.engine = engine
-        self.threshold = float(threshold)
-        self.stats = LSHIndexStats()
-        sig = signature_matrix(engine._shards[0])
-        if sig is None:
-            if num_bands is not None or rows_per_band is not None:
-                raise ValueError(
-                    f"{type(engine._shards[0]).__name__} stores no signature "
-                    "matrix; banding parameters are not applicable (queries "
-                    "fall back to the routed full scan)"
-                )
-            self.resolution: LSHResolution | None = None
-            self._shard_indexes: list[LSHIndex] = []
-            self._pending = np.empty(0, dtype=np.int64)
-            engine._lsh_indexes.add(self)
-            return
-        self.resolution = _resolve_band_split(
-            sig[0].shape[1], num_bands, rows_per_band, threshold
-        )
-        self._rebuild_from_engine()
-        # Registered indexes are marked dirty by ShardedEngine.apply_delta and
-        # re-banded by ShardedEngine.repartition, so they track the shards
-        # for as long as they are alive (weak registration — dropping the
-        # index is enough to stop paying for its maintenance).
-        engine._lsh_indexes.add(self)
-
-    def _rebuild_from_engine(self) -> None:
-        """(Re)build the per-shard tables over the engine's current shard layout."""
-        if self.resolution is None:
-            return
-        engine = self.engine
-        self._shard_indexes = [
-            LSHIndex(
-                engine._shards[s],
-                num_bands=self.resolution.num_bands,
-                rows_per_band=self.resolution.rows_per_band,
-                threshold=self.threshold,
-                vertex_ids=engine.partition.shard_vertices[s],
-            )
-            for s in range(engine.num_shards)
-        ]
-        self._pending = np.empty(0, dtype=np.int64)
-
-    @property
-    def banded(self) -> bool:
-        """Whether bucket tables exist (False → every query is a routed full scan)."""
-        return self.resolution is not None
-
-    @property
-    def num_bands(self) -> int:
-        """Bands per signature (0 for the full-scan fallback)."""
-        return self.resolution.num_bands if self.resolution is not None else 0
-
-    @property
-    def rows_per_band(self) -> int:
-        """Signature slots hashed together per band (0 for the full-scan fallback)."""
-        return self.resolution.rows_per_band if self.resolution is not None else 0
-
-    @property
-    def num_entries(self) -> int:
-        """Total bucket entries across every shard's tables (flushes patches)."""
-        self._flush_pending()
-        return sum(index.num_entries for index in self._shard_indexes)
-
-    # --------------------------------------------------------------- patching
-    def apply_delta(self, delta: "GraphDelta") -> int:
-        """Re-key the touched rows' bucket entries after the engine was patched.
-
-        Mirrors :meth:`LSHIndex.apply_delta <repro.engine.lsh.LSHIndex.apply_delta>`
-        for the per-shard tables: the engine must already have routed this
-        delta (:meth:`ShardedEngine.apply_delta` — which marks every
-        *registered* index's touched rows automatically, so an explicit call
-        is a harmless idempotent re-key), and only the rows the delta touched
-        are re-hashed into each owning shard's table.  This call flushes
-        eagerly; a routed patch alone defers the re-key to the next probe.
-        Returns the number of re-keyed rows.
-        """
-        engine = self.engine
-        if engine.graph.fingerprint() != delta.new_fingerprint:
-            raise ValueError(
-                "patch the engine first: ShardedEngine.apply_delta routes the "
-                "delta to the shard containers this index bands over"
-            )
-        if engine._last_patch is None or engine._last_patch[0] != delta.new_fingerprint:
-            raise ValueError(
-                "this delta is not the engine's most recent patch; rebuild the "
-                "index (ShardedEngine.lsh_index) instead of patching it"
-            )
-        self._patch_touched(engine._last_patch[1])
-        return self._flush_pending()
-
-    def _patch_touched(self, touched: np.ndarray) -> int:
-        """Mark (already patched) global rows dirty; re-keying waits for a probe.
-
-        Bucket tables are only *read* at probe time, so a batch stream never
-        pays one table splice per delta — dirty rows accumulate here and
-        :meth:`_flush_pending` re-keys their union on the next probe /
-        ``num_entries`` read (or on an explicit :meth:`apply_delta`).
-        """
-        if not self.banded:
-            return 0
-        self._pending = np.union1d(self._pending, touched)
-        return int(touched.size)
-
-    def _flush_pending(self) -> int:
-        """Re-key every pending dirty row in its owning shard's tables."""
-        if not self.banded or self._pending.shape[0] == 0:
-            return 0
-        touched, self._pending = self._pending, np.empty(0, dtype=np.int64)
-        partition = self.engine.partition
-        owners = partition.owners[touched]
-        total = 0
-        for s, index in enumerate(self._shard_indexes):
-            # Growth may have extended this shard's owned-vertex list; swap in
-            # the current one before re-keying (rekey_rows checks the length).
-            index.vertex_ids = partition.shard_vertices[s]
-            total += index.rekey_rows(partition.local_index[touched[owners == s]])
-        return total
-
-    def _source_band_keys(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Band keys of each source, computed on its owner shard's rows.
-
-        Keys depend only on the signature values and the band split — not on
-        which shard holds the row — so one key set probes every shard's tables
-        (the routed-probe contract).
-        """
-        assert self.resolution is not None
-        partition = self.engine.partition
-        owners = partition.owners[sources]
-        keys = np.empty((sources.shape[0], self.resolution.num_bands), dtype=np.uint64)
-        valid = np.empty((sources.shape[0], self.resolution.num_bands), dtype=bool)
-        for s in np.unique(owners):
-            sel = owners == s
-            local_rows = partition.local_index[sources[sel]]
-            keys[sel], valid[sel] = self._shard_indexes[int(s)].band_keys(local_rows)
-        return keys, valid
-
-    def query_candidates_batch(
-        self,
-        sources: np.ndarray,
-        candidates: np.ndarray | None = None,
-        exclude_self: bool = True,
-    ) -> list[np.ndarray]:
-        """Colliding candidates per source — the disjoint union of shard probes.
-
-        Returns the same sorted unique ID arrays as the single-process
-        :meth:`LSHIndex.query_candidates_batch
-        <repro.engine.lsh.LSHIndex.query_candidates_batch>` (every bucket
-        entry lives in exactly one shard's table).
-        """
-        self.engine._check_fresh()
-        self._flush_pending()
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        if candidates is not None:
-            candidates = np.unique(np.asarray(candidates, dtype=np.int64).ravel())
-        if not self.banded:
-            pool = (
-                candidates
-                if candidates is not None
-                else np.arange(self.engine.num_vertices, dtype=np.int64)
-            )
-            return [
-                pool[pool != s] if exclude_self else pool.copy() for s in sources
-            ]
-        keys, valid = self._source_band_keys(sources)
-        per_shard = [index.probe(keys, valid) for index in self._shard_indexes]
-        out: list[np.ndarray] = []
-        for i, s in enumerate(sources):
-            # Shards own disjoint vertex sets, so the concatenation is already
-            # duplicate-free; sorting restores the global canonical order.
-            cand = np.sort(np.concatenate([found[i] for found in per_shard]))
-            if candidates is not None:
-                cand = np.intersect1d(cand, candidates, assume_unique=True)
-            if exclude_self:
-                cand = cand[cand != s]
-            out.append(cand)
-        return out
-
-    def query_candidates(
-        self,
-        u: int,
-        candidates: np.ndarray | None = None,
-        exclude_self: bool = True,
-    ) -> np.ndarray:
-        """Sorted unique candidate IDs colliding with vertex ``u`` on ≥1 band."""
-        return self.query_candidates_batch(
-            np.asarray([u], dtype=np.int64), candidates=candidates,
-            exclude_self=exclude_self,
-        )[0]
-
-    def topk_similar_batch(
-        self,
-        sources: np.ndarray,
-        k: int,
-        measure: str = "jaccard",
-        candidates: np.ndarray | None = None,
-        estimator: EstimatorKind | str | None = None,
-        exclude_self: bool = True,
-        exact: bool = False,
-    ) -> TopKResult:
-        """Routed top-k over only the colliding candidates of every source.
-
-        Scoring goes through the engine's scatter-gather
-        (:meth:`ShardedEngine.pair_intersections` — shipments are counted as
-        usual); selection is the shared canonical
-        :func:`repro.engine.lsh.select_topk_rows`.  ``exact=True`` (and the
-        Bloom/HLL fallback) routes to :meth:`ShardedEngine.top_k_similar_batch`.
-        """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if measure not in ("jaccard", "intersection", "common_neighbors"):
-            raise ValueError(
-                f"unknown measure {measure!r}; expected 'jaccard', 'intersection', "
-                "or 'common_neighbors'"
-            )
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        if exact or not self.banded:
-            self.stats.queries += 1
-            self.stats.full_scan_fallbacks += 1
-            return self.engine.top_k_similar_batch(
-                sources, k, measure=measure, candidates=candidates,
-                estimator=estimator, exclude_self=exclude_self,
-            )
-        pool_size = (
-            np.unique(np.asarray(candidates, dtype=np.int64)).shape[0]
-            if candidates is not None
-            else self.engine.num_vertices
-        )
-        k = min(int(k), pool_size)
-        record_topk()
-        self.stats.queries += 1
-        if sources.shape[0] == 0 or k == 0:
-            return TopKResult(
-                np.empty((sources.shape[0], k), dtype=np.int64),
-                np.empty((sources.shape[0], k), dtype=np.float64),
-            )
-        cand_lists = self.query_candidates_batch(
-            sources, candidates=candidates, exclude_self=False
-        )
-        counts = np.asarray([c.shape[0] for c in cand_lists], dtype=np.int64)
-        total = int(counts.sum())
-        self.stats.probed_sources += sources.shape[0]
-        self.stats.candidates_scored += total
-        if total:
-            u_flat = np.repeat(sources, counts)
-            v_flat = np.concatenate(cand_lists)
-            if measure == "jaccard":
-                flat_scores = self.engine.pair_jaccard(u_flat, v_flat, estimator=estimator)
-            else:
-                flat_scores = self.engine.pair_intersections(u_flat, v_flat, estimator=estimator)
-        else:
-            flat_scores = np.empty(0, dtype=np.float64)
-        return select_topk_rows(sources, cand_lists, flat_scores, k, exclude_self)
-
-    def topk_similar(
-        self,
-        u: int,
-        k: int,
-        measure: str = "jaccard",
-        candidates: np.ndarray | None = None,
-        estimator: EstimatorKind | str | None = None,
-        exact: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Single-source convenience over :meth:`topk_similar_batch`."""
-        result = self.topk_similar_batch(
-            np.asarray([u], dtype=np.int64), k, measure=measure,
-            candidates=candidates, estimator=estimator, exact=exact,
-        )
-        return result.indices[0], result.scores[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if not self.banded:
-            return (
-                f"ShardedLSHIndex(shards={self.engine.num_shards}, fallback=full-scan)"
-            )
-        return (
-            f"ShardedLSHIndex(shards={self.engine.num_shards}, b={self.num_bands}, "
-            f"r={self.rows_per_band}, entries={self.num_entries})"
         )
 
 
@@ -1545,25 +968,14 @@ def build_probgraph_sharded(
     """Build a :class:`~repro.core.ProbGraph` with a multiprocess sharded pass.
 
     Construction cost is split over ``num_shards`` worker processes; the
-    merged result is bit-identical to the in-process constructor.  This is
-    what :meth:`repro.engine.PGSession.probgraph` uses when the session is
-    created with ``shards=``.
+    result is bit-identical to the in-process constructor.  This is what
+    :meth:`repro.engine.PGSession.probgraph` uses when the session is created
+    with ``shards=``.  The engine is discarded, so its ProbGraph is handed
+    over as is.
     """
-    engine = ShardedEngine(
-        graph,
-        num_shards,
-        representation=representation,
-        storage_budget=storage_budget,
-        num_hashes=num_hashes,
-        num_bits=num_bits,
-        k=k,
-        precision=precision,
-        oriented=oriented,
-        seed=seed,
-        estimator=estimator,
-        partition=partition,
-        pool=pool,
-        max_workers=max_workers,
-        transport=transport,
-    )
-    return engine.to_probgraph(estimator=estimator)
+    with ShardedEngine(
+        graph, num_shards, representation, storage_budget, num_hashes, num_bits, k,
+        precision, oriented, seed, estimator, partition, pool=pool,
+        max_workers=max_workers, transport=transport,
+    ) as engine:
+        return engine._pg

@@ -41,6 +41,7 @@ from ..parallel.executor import chunked_ranges
 from .batch import (
     EngineConfig,
     _as_pair_arrays,
+    as_vertex_ids,
     iter_pair_chunks,
     record_query,
     record_topk,
@@ -195,7 +196,7 @@ def topk_pair_scores(
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    u, v = _as_pair_arrays(u, v)
+    u, v = _as_pair_arrays(u, v, graph.num_vertices)
     total = u.shape[0]
     k = min(int(k), total)
     record_topk()
@@ -250,12 +251,12 @@ def topk_per_source(
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    sources = np.asarray(sources, dtype=np.int64).ravel()
     num_vertices = graph.num_vertices
+    sources = as_vertex_ids(sources, num_vertices)
     if candidates is None:
         candidates = np.arange(num_vertices, dtype=np.int64)
     else:
-        candidates = np.unique(np.asarray(candidates, dtype=np.int64).ravel())
+        candidates = np.unique(as_vertex_ids(candidates, num_vertices))
     num_sources = sources.shape[0]
     total_candidates = candidates.shape[0]
     k = min(int(k), total_candidates)

@@ -116,8 +116,8 @@ class ShardPartition:
 
     ``owners[v]`` is the shard owning vertex ``v``; ``shard_vertices[s]`` lists
     shard ``s``'s vertices in ascending global order; ``local_index[v]`` is
-    ``v``'s row position inside its owner's shard (the sketch-row index of the
-    per-shard containers).
+    ``v``'s row position inside its owner's shard (the row index of the
+    shard's build block).
     """
 
     owners: np.ndarray

@@ -1,6 +1,6 @@
 """Parallelism substrate: work-depth models, scheduling simulation, threaded execution, communication model."""
 
-from .distributed import CommunicationVolume, communication_volume, partition_vertices
+from .distributed import CommunicationVolume, communication_volume
 from .executor import ParallelConfig, chunked_ranges, parallel_edge_map
 from .simulator import (
     ScheduleResult,
@@ -33,5 +33,4 @@ __all__ = [
     "parallel_edge_map",
     "CommunicationVolume",
     "communication_volume",
-    "partition_vertices",
 ]

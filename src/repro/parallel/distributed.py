@@ -24,7 +24,7 @@ import numpy as np
 from ..graph.csr import CSRGraph, WORD_BITS
 from ..graph.partition import partition_vertices
 
-__all__ = ["CommunicationVolume", "partition_vertices", "communication_volume"]
+__all__ = ["CommunicationVolume", "communication_volume"]
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ class ArraySpec:
     dtype (a canonical string such as ``"uint64"``), and ``role`` whether the
     array is a ``(num_sets, width)`` matrix (:data:`ROW_MATRIX`) or a
     ``(num_sets,)`` vector (:data:`ROW_VECTOR`).  The first axis is always the
-    sketch row, which is what makes row scatter-gather and per-array
+    sketch row, which is what makes row gathers and per-array
     persistence family-agnostic.
     """
 
@@ -219,7 +219,7 @@ class SketchContainer(Protocol):
     This is the formal statement of what every family's ``NeighborhoodSketches``
     subclass provides and what the engine/dynamic layers may rely on: batch
     estimation (``cardinalities`` / ``pair_intersections`` and its chunked,
-    memory-bounded variant), budget accounting, row scatter-gather identity
+    memory-bounded variant), budget accounting, row-gather identity
     (``family_key`` / ``take_rows``), and bit-identical incremental maintenance
     (``apply_delta`` / ``resketch_rows`` / ``grow`` / ``update_many``).
 
@@ -297,16 +297,6 @@ class NeighborhoodSketches(abc.ABC):
     #: format of ``repro.storage``.  An empty schema opts out of both.
     storage_schema: ClassVar[StorageSchema] = StorageSchema()
 
-    @property
-    def _row_arrays(self) -> tuple[str, ...]:
-        """Attribute names of the per-row backing arrays (from the schema)."""
-        return self.storage_schema.row_arrays
-
-    @property
-    def _param_attrs(self) -> tuple[str, ...]:
-        """Attribute names of the scalar family parameters (from the schema)."""
-        return self.storage_schema.params
-
     def storage_arrays(self) -> dict[str, np.ndarray]:
         """The schema-declared row arrays by name, in schema order (no copies)."""
         return {name: getattr(self, name) for name in self.storage_schema.row_arrays}
@@ -364,10 +354,10 @@ class NeighborhoodSketches(abc.ABC):
 
         Two containers with equal keys sketch sets under the same hash family
         and sizes, so rows taken from either may be intersected against each
-        other (the invariant behind shard scatter-gather).
+        other (the invariant behind row gathers and the sharded build).
         """
         return (type(self).__name__,) + tuple(
-            getattr(self, name) for name in self._param_attrs
+            getattr(self, name) for name in self.storage_schema.params
         )
 
     def take_rows(self, rows: np.ndarray) -> "NeighborhoodSketches":
@@ -379,7 +369,7 @@ class NeighborhoodSketches(abc.ABC):
         container for the corresponding rows — rows are self-contained by
         design (the load-balancing property of Fig. 1).
         """
-        if not self._row_arrays:
+        if not self.storage_schema.row_arrays:
             raise NotImplementedError(
                 f"{type(self).__name__} does not declare its row arrays"
             )
@@ -387,7 +377,7 @@ class NeighborhoodSketches(abc.ABC):
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_sets):
             raise IndexError("row index out of range")
         clone = copy.copy(self)
-        for name in self._row_arrays:
+        for name in self.storage_schema.row_arrays:
             setattr(clone, name, getattr(self, name)[rows])
         return clone
 
@@ -553,15 +543,13 @@ def concat_sketch_rows(parts: Sequence[NeighborhoodSketches]) -> NeighborhoodSke
     All ``parts`` must be the same container type with identical family
     parameters (:meth:`NeighborhoodSketches.family_key`); the result holds
     their rows concatenated in order and is bit-identical, row for row, to the
-    inputs.  This is how the sharded engine assembles per-shard builds into a
-    full sketch set, and how shipped rows are appended to a shard's local
-    container for scatter-gather query evaluation.
+    inputs.
     """
     parts = list(parts)
     if not parts:
         raise ValueError("concat_sketch_rows needs at least one container")
     first = parts[0]
-    if not first._row_arrays:
+    if not first.storage_schema.row_arrays:
         raise NotImplementedError(
             f"{type(first).__name__} does not declare its row arrays"
         )
@@ -577,6 +565,6 @@ def concat_sketch_rows(parts: Sequence[NeighborhoodSketches]) -> NeighborhoodSke
         # of paying an np.concatenate copy (which would also promote mmap-backed
         # rows to heap memory for no reason).
         return clone
-    for name in first._row_arrays:
+    for name in first.storage_schema.row_arrays:
         setattr(clone, name, np.concatenate([getattr(p, name) for p in parts], axis=0))
     return clone

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ProbGraph
+from repro.graph import partition_vertices
 from repro.parallel import (
     ParallelConfig,
     Scheme,
@@ -15,7 +16,6 @@ from repro.parallel import (
     intersection_cost,
     intersection_costs_per_edge,
     parallel_edge_map,
-    partition_vertices,
     simulate_algorithm_runtime,
     simulate_schedule,
     simulate_strong_scaling,

